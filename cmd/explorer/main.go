@@ -21,7 +21,7 @@
 //	GET /txns             federated transaction search with cursor pagination
 //	                      (?type=payment&actor=<addr>&from=0&to=100&limit=50
 //	                       &cursor=<h>-<seq>&region=<0..23>)
-//	GET /tail             streams reassembled blocks from the shard tails as
+//	GET /tail             streams blocks from the store's tail as
 //	                      NDJSON (?after=<height>&limit=<n>&full=1)
 //
 // Usage:
@@ -60,8 +60,8 @@ type server struct {
 	// follower is non-nil when the store is durable (-store): the live
 	// tail whose first ingest error /etl surfaces.
 	follower *etl.Follower
-	// cluster is the federated query tier /txns and /tail are served
-	// from; /etl reports its per-shard health.
+	// cluster is the federated query tier /txns is served from; /etl
+	// reports its per-shard health.
 	cluster *fed.Cluster
 }
 
@@ -358,8 +358,8 @@ func (s *server) handleTxns(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, resp)
 }
 
-// handleTail streams reassembled blocks from the shards' lossless
-// tails as NDJSON, one block per line, until the client disconnects
+// handleTail streams blocks from the explorer store's lossless tail
+// as NDJSON, one block per line, until the client disconnects
 // (or ?limit=<n> blocks have been sent). ?after=<height> positions
 // the tail (-1 replays everything; default is the current tip, i.e.
 // only new blocks). ?full=1 includes transaction bodies.
@@ -387,9 +387,9 @@ func (s *server) handleTail(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
 		return
 	}
-	tail := s.cluster.Tail(after)
+	tail := s.store.Follow(after)
 	defer tail.Close()
-	// A disconnected client unblocks the merged tail's Next.
+	// A disconnected client unblocks the tail's Next.
 	stop := make(chan struct{})
 	defer close(stop)
 	go func() {
@@ -509,8 +509,8 @@ func main() {
 	log.Fatal(http.ListenAndServe(*listen, mux))
 }
 
-// buildCluster stands up the in-process federated tier behind /txns,
-// /tail, and /etl's shard health, and waits for it to catch up to the
+// buildCluster stands up the in-process federated tier behind /txns
+// and /etl's shard health, and waits for it to catch up to the
 // chain tip before serving.
 func buildCluster(c *chain.Chain, shards int, scheme string) (*fed.Cluster, error) {
 	var part fed.Partition

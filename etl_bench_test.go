@@ -55,8 +55,8 @@ func BenchmarkETLIngest_Follow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		s := etl.New(etl.Config{})
 		f := s.FollowChain(w.Chain)
-		// Close waits for the catch-up drain, so the whole history has
-		// been ingested through the subscription path when it returns.
+		// Close drains the chain tail, so the whole history has been
+		// ingested through the follower when it returns.
 		if err := f.Close(); err != nil {
 			b.Fatal(err)
 		}

@@ -8,9 +8,10 @@ import (
 
 // Determinism enforces seeded reproducibility in the packages that
 // generate or measure simulated worlds: no wall-clock reads, no draws
-// from the global math/rand source, and no output assembled in map
-// iteration order. Any of the three makes two same-seed runs diverge,
-// which silently breaks every paper table in EXPERIMENTS.md.
+// from the global math/rand source, and no output assembled — or
+// float sum accumulated — in map iteration order. Any of these makes
+// two same-seed runs diverge, which silently breaks every paper table
+// in EXPERIMENTS.md.
 //
 // Sanctioned escape hatch: a real-time boundary (the production clock
 // implementation, an OS-facing adapter) carries
@@ -18,8 +19,8 @@ import (
 var Determinism = &Analyzer{
 	Name: "determinism",
 	Doc: "forbid wall-clock reads (time.Now/Since/Until), global math/rand draws,\n" +
-		"and map-iteration-ordered output in world-generating and measuring\n" +
-		"packages; seeded runs must reproduce the paper tables exactly.",
+		"and map-iteration-ordered output or float sums in world-generating and\n" +
+		"measuring packages; seeded runs must reproduce the paper tables exactly.",
 	Run: runDeterminism,
 }
 
@@ -202,12 +203,58 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt, wrappers map[types.Object]bo
 		})
 		return found
 	}
+	sums := make(map[*ast.AssignStmt]bool) // nested map loops see a sum twice
 	for _, r := range ranges {
 		if appendsToOuterSlice(pass, r) && !sortsAfter(r.End()) {
 			pass.Reportf(r.Pos(),
 				"slice assembled in map iteration order; map order is randomized per run — sort the result or iterate over sorted keys")
 		}
+		for _, as := range floatSumsToOuter(pass, r) {
+			if sums[as] {
+				continue
+			}
+			sums[as] = true
+			pass.Reportf(as.Pos(),
+				"float accumulated in map iteration order; float addition is not associative, so the last bits change per run — iterate over sorted keys")
+		}
 	}
+}
+
+// floatSumsToOuter returns the += / -= statements in the range body
+// whose target is a float variable, or a field of one, declared before
+// the loop: a running sum whose rounding depends on map order. A
+// target reached through an index (m[k] += v) accumulates per key and
+// is order-independent.
+func floatSumsToOuter(pass *Pass, r *ast.RangeStmt) []*ast.AssignStmt {
+	var out []*ast.AssignStmt
+	ast.Inspect(r.Body, func(n ast.Node) bool {
+		as, ok := n.(*ast.AssignStmt)
+		if !ok || (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) || len(as.Lhs) != 1 {
+			return true
+		}
+		tv, ok := pass.TypesInfo.Types[as.Lhs[0]]
+		if !ok {
+			return true
+		}
+		if b, ok := tv.Type.Underlying().(*types.Basic); !ok || b.Info()&types.IsFloat == 0 {
+			return true
+		}
+		base := as.Lhs[0]
+		for {
+			se, ok := base.(*ast.SelectorExpr)
+			if !ok {
+				break
+			}
+			base = se.X
+		}
+		if id, ok := base.(*ast.Ident); ok {
+			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.Pos() < r.Pos() {
+				out = append(out, as)
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // appendsToOuterSlice reports whether the range body grows a slice

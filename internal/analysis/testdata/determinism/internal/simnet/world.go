@@ -10,6 +10,7 @@ import (
 type World struct {
 	Seed     int64
 	Gateways map[string]int
+	Weights  map[string]float64
 }
 
 // Stamp reads the wall clock inside a deterministic package: flagged.
@@ -76,6 +77,51 @@ func (w *World) CountGateways() int {
 	total := 0
 	for _, n := range w.Gateways {
 		total += n
+	}
+	return total
+}
+
+// TotalWeight sums floats in map order; the rounding, and so the last
+// bits, depend on the order: flagged.
+func (w *World) TotalWeight() float64 {
+	total := 0.0
+	for _, x := range w.Weights {
+		total += x // want "float accumulated in map iteration order"
+	}
+	return total
+}
+
+type tally struct{ net float64 }
+
+// NetWeight runs the sum in a field of an outer variable: flagged.
+func (w *World) NetWeight() float64 {
+	var t tally
+	for _, x := range w.Weights {
+		t.net -= x // want "float accumulated in map iteration order"
+	}
+	return t.net
+}
+
+// WeightByOwner accumulates per key; each key's sum is independent of
+// map order: not flagged.
+func (w *World) WeightByOwner(owner map[string]string) map[string]float64 {
+	out := make(map[string]float64)
+	for name, x := range w.Weights {
+		out[owner[name]] += x
+	}
+	return out
+}
+
+// SortedTotalWeight sums over sorted keys: not flagged.
+func (w *World) SortedTotalWeight() float64 {
+	names := make([]string, 0, len(w.Weights))
+	for name := range w.Weights {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	total := 0.0
+	for _, name := range names {
+		total += w.Weights[name]
 	}
 	return total
 }

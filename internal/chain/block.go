@@ -47,23 +47,24 @@ func (b *Block) computeHash(txnHashes []string) string {
 // rejected whole.
 //
 // A Chain is safe for one producer appending blocks concurrently with
-// any number of readers (Scan, Blocks, BlocksFrom, subscribers):
-// appended blocks are immutable, and the block slice is only read
-// under the mutex or via snapshots taken under it.
+// any number of readers (Scan, Blocks, BlocksFrom, tails): appended
+// blocks are immutable, and the block slice is only read under the
+// mutex or via snapshots taken under it.
 type Chain struct {
 	Genesis time.Time
 	ledger  *Ledger
 
 	mu     sync.RWMutex
 	blocks []*Block
-	subs   map[int]chan struct{}
-	nextID int
+	grown  *sync.Cond // on mu's read side; broadcast after every append
 }
 
 // NewChain creates a chain whose genesis time anchors block heights to
 // wall-clock timestamps. The paper's network launched July 29, 2019.
 func NewChain(genesis time.Time) *Chain {
-	return &Chain{Genesis: genesis, ledger: NewLedger(), subs: make(map[int]chan struct{})}
+	c := &Chain{Genesis: genesis, ledger: NewLedger()}
+	c.grown = sync.NewCond(c.mu.RLocker())
+	return c
 }
 
 // DefaultGenesis is the first real entry on the Helium blockchain (§3).
@@ -162,37 +163,61 @@ func (c *Chain) AppendBlockHashed(height int64, txns []Txn, txnHashes []string) 
 	}
 	b.Hash = b.computeHash(txnHashes)
 	c.blocks = append(c.blocks, b)
-	// Coalescing notification: a subscriber that has not drained its
-	// signal yet learns about this block on its next poll anyway.
-	for _, ch := range c.subs {
-		select {
-		case ch <- struct{}{}:
-		default:
-		}
-	}
 	c.mu.Unlock()
+	c.grown.Broadcast()
 	return b, nil
 }
 
-// Subscribe registers for append notifications: the returned channel
-// receives a (coalesced) signal after each AppendBlock. Consumers pull
-// the new blocks with BlocksFrom, so a missed signal never loses data.
-// The cancel function unregisters and closes the channel.
-func (c *Chain) Subscribe() (<-chan struct{}, func()) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	id := c.nextID
-	c.nextID++
-	ch := make(chan struct{}, 1)
-	c.subs[id] = ch
-	return ch, func() {
-		c.mu.Lock()
-		defer c.mu.Unlock()
-		if _, ok := c.subs[id]; ok {
-			delete(c.subs, id)
-			close(ch)
+// Tail is a pull-based subscription over the chain's block sequence:
+// it replays every block after its start height, then blocks until
+// new ones are appended. It can never drop a block, however slow the
+// consumer, and Close is lossless too: Next still returns every block
+// appended before the Close, then reports false.
+type Tail struct {
+	c     *Chain
+	after int64
+	// closed and end (the chain tip at Close) are written under c.mu
+	// and read under its read side.
+	closed bool
+	end    int64
+}
+
+// Follow returns a tail positioned after the given height (use -1 to
+// replay everything, or Height() to receive only new blocks). Next is
+// for one goroutine; Close may race with it.
+func (c *Chain) Follow(after int64) *Tail {
+	return &Tail{c: c, after: after}
+}
+
+// Next returns the next block, blocking until one is available. After
+// Close it drains the suffix appended before the Close, then returns
+// false, so a closing consumer finishes even while the producer runs.
+func (t *Tail) Next() (*Block, bool) {
+	c := t.c
+	c.mu.RLock()
+	defer c.mu.RUnlock()
+	for {
+		i := sort.Search(len(c.blocks), func(i int) bool { return c.blocks[i].Height > t.after })
+		if i < len(c.blocks) && (!t.closed || c.blocks[i].Height <= t.end) {
+			t.after = c.blocks[i].Height
+			return c.blocks[i], true
 		}
+		if t.closed {
+			return nil, false
+		}
+		c.grown.Wait()
 	}
+}
+
+// Close ends the tail: a pending Next wakes, and once the suffix
+// appended so far is drained, Next returns false. Close is idempotent.
+func (t *Tail) Close() {
+	t.c.mu.Lock()
+	if !t.closed {
+		t.closed, t.end = true, t.c.heightLocked()
+	}
+	t.c.mu.Unlock()
+	t.c.grown.Broadcast()
 }
 
 // speculative applies txns in order, recording the first error; on

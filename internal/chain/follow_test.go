@@ -3,6 +3,7 @@ package chain
 import (
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBlocksReturnsCopy(t *testing.T) {
@@ -54,44 +55,78 @@ func TestBlocksFrom(t *testing.T) {
 	}
 }
 
-func TestSubscribeSignalsAppends(t *testing.T) {
+// TestTailReplaysThenWaits: a tail replays the stored suffix past its
+// start height, then blocks until the producer appends more.
+func TestTailReplaysThenWaits(t *testing.T) {
 	c := NewChain(DefaultGenesis)
-	ch, cancel := c.Subscribe()
-	defer cancel()
-	if _, err := c.AppendBlock(1, []Txn{&AddGateway{Gateway: "hs1", Owner: "w"}}); err != nil {
+	for _, h := range []int64{1, 5} {
+		if _, err := c.AppendBlock(h, []Txn{&AddGateway{Gateway: "hs" + string(rune('a'+h)), Owner: "w"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail := c.Follow(1)
+	defer tail.Close()
+	if b, ok := tail.Next(); !ok || b.Height != 5 {
+		t.Fatalf("replay = %v, %v; want height 5", b, ok)
+	}
+	got := make(chan int64)
+	go func() {
+		b, ok := tail.Next()
+		if !ok {
+			got <- -1
+			return
+		}
+		got <- b.Height
+	}()
+	select {
+	case h := <-got:
+		t.Fatalf("Next returned %d before anything was appended", h)
+	case <-time.After(20 * time.Millisecond):
+	}
+	if _, err := c.AppendBlock(9, []Txn{&AddGateway{Gateway: "hs9", Owner: "w"}}); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case <-ch:
-	default:
-		t.Fatal("no signal after append")
-	}
-	// Signals coalesce: two appends while not draining leave one
-	// pending signal, and BlocksFrom recovers both blocks.
-	c.AppendBlock(2, []Txn{&AddGateway{Gateway: "hs2", Owner: "w"}})
-	c.AppendBlock(3, []Txn{&AddGateway{Gateway: "hs3", Owner: "w"}})
-	<-ch
-	select {
-	case <-ch:
-		t.Fatal("signals did not coalesce")
-	default:
-	}
-	if got := c.BlocksFrom(1); len(got) != 2 {
-		t.Fatalf("BlocksFrom after coalesced signal = %d blocks", len(got))
+	if h := <-got; h != 9 {
+		t.Fatalf("Next after append = %d, want 9", h)
 	}
 }
 
-func TestSubscribeCancelIdempotent(t *testing.T) {
+// TestTailCloseDrainsSuffix: Close is lossless — blocks appended before
+// it are still delivered, then Next reports false, however many the
+// producer appends after it; Close unblocks a waiting Next and is
+// idempotent.
+func TestTailCloseDrainsSuffix(t *testing.T) {
 	c := NewChain(DefaultGenesis)
-	ch, cancel := c.Subscribe()
-	cancel()
-	cancel() // second cancel must not panic (double close)
-	if _, ok := <-ch; ok {
-		t.Fatal("channel not closed after cancel")
+	tail := c.Follow(-1)
+	done := make(chan bool)
+	go func() {
+		_, ok := tail.Next()
+		done <- ok
+	}()
+	time.Sleep(10 * time.Millisecond) // let Next block; the outcome is the same if it has not
+	tail.Close()
+	if ok := <-done; ok {
+		t.Fatal("Next on an empty closed tail returned a block")
 	}
-	// Appends after cancel must not signal or panic.
-	if _, err := c.AppendBlock(1, []Txn{&AddGateway{Gateway: "hs1", Owner: "w"}}); err != nil {
+
+	tail = c.Follow(-1)
+	for _, h := range []int64{1, 2, 3} {
+		if _, err := c.AppendBlock(h, []Txn{&AddGateway{Gateway: "hs" + string(rune('a'+h)), Owner: "w"}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	tail.Close()
+	if _, err := c.AppendBlock(4, []Txn{&AddGateway{Gateway: "hse", Owner: "w"}}); err != nil {
 		t.Fatal(err)
+	}
+	tail.Close() // a second close neither panics nor extends the drain
+	for want := int64(1); want <= 3; want++ {
+		if b, ok := tail.Next(); !ok || b.Height != want {
+			t.Fatalf("drain after close = %v, %v; want height %d", b, ok, want)
+		}
+	}
+	if _, ok := tail.Next(); ok {
+		t.Fatal("Next after draining a closed tail returned a block")
 	}
 }
 
@@ -112,19 +147,15 @@ func TestConcurrentProducerReaders(t *testing.T) {
 			}
 		}
 	}()
-	ch, cancel := c.Subscribe()
-	defer cancel()
+	tail := c.Follow(-1)
+	defer tail.Close()
 	wg.Add(3)
 	go func() {
 		defer wg.Done()
-		var tip int64 = -1
-		var got int
-		for got < blocks {
-			<-ch
-			nb := c.BlocksFrom(tip)
-			got += len(nb)
-			if len(nb) > 0 {
-				tip = nb[len(nb)-1].Height
+		for got := int64(1); got <= blocks; got++ {
+			if b, ok := tail.Next(); !ok || b.Height != got {
+				t.Errorf("tail = %v, %v; want height %d", b, ok, got)
+				return
 			}
 		}
 	}()

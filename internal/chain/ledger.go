@@ -136,6 +136,13 @@ func (l *Ledger) SetPoCInterval(blocks int64) {
 	}
 }
 
+// PoCInterval returns the challenge interval in blocks.
+func (l *Ledger) PoCInterval() int64 {
+	l.mu.RLock()
+	defer l.mu.RUnlock()
+	return l.pocIntervalBlocks
+}
+
 // account returns (creating if needed) the account record. Caller
 // must hold l.mu.
 func (l *Ledger) account(addr string) *Account {

@@ -43,6 +43,12 @@ type ChainView interface {
 	Scan(fn func(height int64, t chain.Txn) bool)
 	// ScanType visits every transaction of one type in height order.
 	ScanType(tt chain.TxnType, fn func(height int64, t chain.Txn) bool)
+	// ScanTypes visits the transactions of several types interleaved
+	// in chain order (height, then intra-block position). The
+	// fold-form analyses use it so batch and live paths consume
+	// transactions in the identical order — the property that makes
+	// their outputs bit-identical.
+	ScanTypes(tts []chain.TxnType, fn func(height int64, t chain.Txn) bool)
 }
 
 // ActorScanner is an optional ChainView extension: a view that can
@@ -51,35 +57,6 @@ type ChainView interface {
 // when available instead of scanning the whole chain.
 type ActorScanner interface {
 	ScanActor(actor string, fn func(height int64, t chain.Txn) bool)
-}
-
-// TypesScanner is an optional ChainView extension: a view that can
-// enumerate the transactions of several types interleaved in chain
-// order (height, then intra-block position). The fold-form analyses
-// use it so batch and live paths consume transactions in the identical
-// order — the property that makes their outputs bit-identical.
-type TypesScanner interface {
-	ScanTypes(tts []chain.TxnType, fn func(height int64, t chain.Txn) bool)
-}
-
-// scanTypes visits every transaction whose type is in tts, in chain
-// order, through the view's TypesScanner when it has one and a
-// filtered full scan otherwise.
-func (d *Dataset) scanTypes(tts []chain.TxnType, fn func(height int64, t chain.Txn) bool) {
-	if ts, ok := d.Chain.(TypesScanner); ok {
-		ts.ScanTypes(tts, fn)
-		return
-	}
-	want := make(map[chain.TxnType]bool, len(tts))
-	for _, tt := range tts {
-		want[tt] = true
-	}
-	d.Chain.Scan(func(h int64, t chain.Txn) bool {
-		if !want[t.TxnType()] {
-			return true
-		}
-		return fn(h, t)
-	})
 }
 
 // Dataset bundles everything the analyses consume.

@@ -216,7 +216,7 @@ func (st *MovesState) Finalize() MoveAnalysis {
 // bit for bit at equal heights.
 func (d *Dataset) AnalyzeMoves() MoveAnalysis {
 	st := NewMovesState()
-	d.scanTypes(movesTxnTypes, func(h int64, t chain.Txn) bool {
+	d.Chain.ScanTypes(movesTxnTypes, func(h int64, t chain.Txn) bool {
 		st.ApplyTxn(h, t)
 		return true
 	})

@@ -28,15 +28,8 @@ type Backoff struct {
 var backoffSeq atomic.Uint64
 
 // NewBackoff returns a backoff with the given base (first delay) and
-// cap. Non-positive arguments fall back to 1ms / 200ms, the follower
-// defaults.
+// cap.
 func NewBackoff(base, max time.Duration) *Backoff {
-	if base <= 0 {
-		base = followerBaseDelay
-	}
-	if max <= 0 {
-		max = followerMaxDelay
-	}
 	return &Backoff{base: base, max: max, rng: stats.NewRNG(0x626b6f66 ^ backoffSeq.Add(1))}
 }
 

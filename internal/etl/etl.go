@@ -23,7 +23,7 @@
 //
 // Queries run through Scan (ordered, single goroutine) or
 // ScanParallel (a worker pool over segments); Follow returns a tail
-// subscription that replays history and then streams live blocks. The
+// that replays history and then streams live blocks. The
 // View adapter satisfies internal/core's ChainView, so every existing
 // analysis resolves through the indexes unchanged.
 package etl
@@ -87,16 +87,17 @@ type Store struct {
 	lastAppend time.Time
 	// dur is the persistence state; nil for a memory-only store.
 	dur *durable
-	// ingestRetries counts transient persist faults retried by whatever
-	// feeds this store (Follower, fed nodes) — cumulative, never reset,
+	// ingestRetries counts transient persist faults retried by the
+	// Follower feeding this store — cumulative, never reset,
 	// surfaced in Health so operators can see a flapping disk before it
 	// becomes a crash.
 	ingestRetries atomic.Int64
 }
 
 // NoteIngestRetry counts one retried transient persist fault against
-// the store's health surface. Callers that retry *PersistError (the
-// chain Follower, federation shard nodes) call it once per retry.
+// the store's health surface. The Follower's retry loop — behind the
+// chain follower and every federation shard node — calls it once per
+// retry.
 func (s *Store) NoteIngestRetry() { s.ingestRetries.Add(1) }
 
 // IngestRetries reports the cumulative retried-fault count.

@@ -258,6 +258,26 @@ func TestScanRangeAndFilters(t *testing.T) {
 	}); got != want {
 		t.Errorf("asserts by hs-0: %d, want %d", got, want)
 	}
+	// A repeated type counts once; a value past every TxnType names no
+	// type, so it adds nothing beside a real one and alone — with or
+	// without actors, sequential or parallel — matches nothing.
+	payTwice := Filter{Types: []chain.TxnType{chain.TxnPayment, chain.TxnPayment, 64}}
+	if got, want := count(20, 50, payTwice), count(20, 50, pay); got != want {
+		t.Errorf("payments listed twice plus type 64 in [20,50]: %d, want %d", got, want)
+	}
+	for _, f := range []Filter{
+		{Types: []chain.TxnType{64}},
+		{Types: []chain.TxnType{99}, Actors: []string{"hs-0"}},
+	} {
+		if got := count(0, 120, f); got != 0 {
+			t.Errorf("Scan(%+v) matched %d txns, want 0", f, got)
+		}
+		n := 0
+		s.ScanParallel(All(), f, 4, func(int64, chain.Txn) bool { n++; return true })
+		if n != 0 {
+			t.Errorf("ScanParallel(%+v) matched %d txns, want 0", f, n)
+		}
+	}
 
 	// Early stop.
 	n := 0

@@ -89,24 +89,30 @@ func (s *Store) BulkLoad(c *chain.Chain) error {
 	return nil
 }
 
-// Follower streams a live chain into a store from a goroutine. It
-// catches up from the store's tip, then ingests each appended block
-// as the chain signals it.
+// Feed is a lossless block iterator a Follower drains: Next blocks
+// until a block is available, and after Close returns whatever was
+// already available before reporting false. *chain.Tail is one.
+type Feed interface {
+	Next() (*chain.Block, bool)
+	Close()
+}
+
+// Follower streams a feed into a store from a goroutine: the one
+// retrying ingest loop behind the chain follower and every federation
+// shard node.
 type Follower struct {
-	s       *Store
-	c       *chain.Chain
-	cancel  func()
-	done    chan struct{}
-	stop    chan struct{} // closed by Close; interrupts retry backoff
-	backoff *Backoff
-	once    sync.Once
+	s    *Store
+	feed Feed
+	done chan struct{}
+	stop chan struct{} // closed by Close; interrupts retry backoff
+	once sync.Once
 
 	mu  sync.Mutex
 	err error
 }
 
 // Transient persistence faults back off and retry rather than killing
-// a live tail; the source chain retains every block, so a retried
+// a live tail; the feed's source retains every block, so a retried
 // ingest loses nothing. Anything else (a stale height, a closed
 // store) is permanent. Delays are jittered and capped (Backoff) so a
 // cluster of followers tripping over the same fault does not retry in
@@ -117,48 +123,44 @@ const (
 	followerMaxDelay   = 200 * time.Millisecond
 )
 
-// FollowChain attaches a follower to a live chain. The returned
-// Follower ingests concurrently with the chain's producer until
-// Close is called. The store adopts the chain's ledger.
+// FollowChain attaches a follower to a live chain, tailing it from the
+// store's tip. The returned Follower ingests concurrently with the
+// chain's producer until Close is called. The store adopts the chain's
+// ledger.
 func (s *Store) FollowChain(c *chain.Chain) *Follower {
 	s.SetLedger(c.Ledger())
-	notify, cancel := c.Subscribe()
-	f := &Follower{s: s, c: c, cancel: cancel, done: make(chan struct{}), stop: make(chan struct{}),
-		backoff: NewBackoff(followerBaseDelay, followerMaxDelay)}
-	go f.run(notify)
+	return s.FollowFeed(c.Follow(s.Height()))
+}
+
+// FollowFeed starts a Follower appending every block the feed yields.
+// The Follower owns the feed and closes it on Close.
+func (s *Store) FollowFeed(feed Feed) *Follower {
+	f := &Follower{s: s, feed: feed, done: make(chan struct{}), stop: make(chan struct{})}
+	go f.run()
 	return f
 }
 
-func (f *Follower) run(notify <-chan struct{}) {
+func (f *Follower) run() {
 	defer close(f.done)
-	// Catch-up pass; the subscription was registered first, so any
-	// block appended during it leaves a pending signal.
-	if !f.drain() {
-		return
-	}
-	for range notify {
-		if !f.drain() {
+	backoff := NewBackoff(followerBaseDelay, followerMaxDelay)
+	for {
+		b, ok := f.feed.Next()
+		if !ok {
+			return
+		}
+		if err := f.ingest(b, backoff); err != nil {
+			f.mu.Lock()
+			f.err = err
+			f.mu.Unlock()
 			return
 		}
 	}
 }
 
-func (f *Follower) drain() bool {
-	for _, b := range f.c.BlocksFrom(f.s.Height()) {
-		if err := f.ingest(b); err != nil {
-			f.mu.Lock()
-			f.err = err
-			f.mu.Unlock()
-			return false
-		}
-	}
-	return true
-}
-
 // ingest appends one block, retrying transient persistence faults
 // with capped, jittered exponential backoff. Close interrupts the
 // backoff; each retry is counted on the store's health surface.
-func (f *Follower) ingest(b *chain.Block) error {
+func (f *Follower) ingest(b *chain.Block, backoff *Backoff) error {
 	for attempt := 0; ; attempt++ {
 		err := f.s.Append(b)
 		var pe *PersistError
@@ -169,25 +171,26 @@ func (f *Follower) ingest(b *chain.Block) error {
 		select {
 		case <-f.stop:
 			return err
-		case <-time.After(f.backoff.Delay(attempt)):
+		case <-time.After(backoff.Delay(attempt)):
 		}
 	}
 }
 
-// Close stops following, ingests any final suffix, and waits for the
-// follower goroutine to exit. It returns the first ingest error, if
-// any. Close is idempotent.
+// Close stops following, ingests the suffix the feed already holds,
+// and waits for the follower goroutine to exit. It returns the first
+// ingest error, if any. Close is idempotent.
 func (f *Follower) Close() error {
 	f.once.Do(func() {
 		close(f.stop) // unblock any retry backoff
-		f.cancel()    // closes the notify channel; run drains and exits
+		f.feed.Close()
 		<-f.done
-		if f.Err() == nil {
-			f.drain() // blocks appended after the last signal we saw
-		}
 	})
 	return f.Err()
 }
+
+// Done is closed when the follower goroutine exits: the feed ended,
+// an ingest failed for good, or Close was called.
+func (f *Follower) Done() <-chan struct{} { return f.done }
 
 // Err returns the first ingest error encountered, if any.
 func (f *Follower) Err() error {

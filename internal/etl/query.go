@@ -2,6 +2,7 @@ package etl
 
 import (
 	"math"
+	"math/bits"
 	"runtime"
 	"sort"
 	"sync"
@@ -30,30 +31,17 @@ type Filter struct {
 
 func (f Filter) empty() bool { return len(f.Types) == 0 && len(f.Actors) == 0 }
 
-// typeSet is nil when no type filter applies.
-func (f Filter) typeSet() map[chain.TxnType]bool {
-	if len(f.Types) == 0 {
-		return nil
-	}
-	set := make(map[chain.TxnType]bool, len(f.Types))
-	for _, tt := range f.Types {
-		set[tt] = true
-	}
-	return set
-}
-
 // typeMask packs the type filter into a bitmask over TxnType values so
-// a per-posting check is a single AND. Returns 0 when there is no type
-// filter or a value doesn't fit (callers then fall back to the map).
-func (f Filter) typeMask() uint64 {
-	var mask uint64
+// a per-posting check is a single AND; 0 means no type filter. Every
+// TxnType fits in 64 bits, so a value beyond them names no type and
+// matches nothing: ok is false when the filter can match nothing.
+func (f Filter) typeMask() (mask uint64, ok bool) {
 	for _, tt := range f.Types {
-		if tt >= 64 {
-			return 0
+		if tt < 64 {
+			mask |= 1 << tt
 		}
-		mask |= 1 << tt
 	}
-	return mask
+	return mask, len(f.Types) == 0 || mask != 0
 }
 
 // view snapshots the segment list and pending buffer. Both are
@@ -75,16 +63,19 @@ func (s *Store) Scan(r Range, f Filter, fn func(height int64, t chain.Txn) bool)
 	if to < 0 {
 		to = math.MaxInt64
 	}
-	types, mask := f.typeSet(), f.typeMask()
+	mask, ok := f.typeMask()
+	if !ok {
+		return
+	}
 	for _, g := range sealed {
 		if !g.overlaps(r.From, to) {
 			continue
 		}
-		if !scanSegment(g, r.From, to, f, types, mask, fn) {
+		if !scanSegment(g, r.From, to, f, mask, fn) {
 			return
 		}
 	}
-	scanBlocks(pending, r.From, to, f, types, fn)
+	scanBlocks(pending, r.From, to, f, mask, fn)
 }
 
 // ScanParallel runs the same visit as Scan but fans segments out to a
@@ -103,6 +94,10 @@ func (s *Store) ScanParallel(r Range, f Filter, workers int, fn func(height int6
 	to := r.To
 	if to < 0 {
 		to = math.MaxInt64
+	}
+	mask, ok := f.typeMask()
+	if !ok {
+		return
 	}
 	var overlapping []*segment
 	for _, g := range sealed {
@@ -123,17 +118,16 @@ func (s *Store) ScanParallel(r Range, f Filter, workers int, fn func(height int6
 			return
 		}
 	}
-	types, mask := f.typeSet(), f.typeMask()
 	var units []func(visit func(int64, chain.Txn) bool) bool
 	for _, g := range overlapping {
 		g := g
 		units = append(units, func(visit func(int64, chain.Txn) bool) bool {
-			return scanSegment(g, r.From, to, f, types, mask, visit)
+			return scanSegment(g, r.From, to, f, mask, visit)
 		})
 	}
 	if len(pending) > 0 {
 		units = append(units, func(visit func(int64, chain.Txn) bool) bool {
-			return scanBlocks(pending, r.From, to, f, types, visit)
+			return scanBlocks(pending, r.From, to, f, mask, visit)
 		})
 	}
 	if workers > len(units) {
@@ -298,11 +292,10 @@ func preloadSegments(segs []*segment) {
 }
 
 // scanSegment visits a sealed segment through its indexes. Returns
-// false if fn stopped the scan. types/mask are f.typeSet() and
-// f.typeMask(), computed once by the caller. The first touch of a stub
-// materializes it here; a broken segment matches nothing (its range is
-// reported through Gaps).
-func scanSegment(g *segment, from, to int64, f Filter, types map[chain.TxnType]bool, mask uint64, fn func(int64, chain.Txn) bool) bool {
+// false if fn stopped the scan. mask is f.typeMask(), computed once by
+// the caller. The first touch of a stub materializes it here; a broken
+// segment matches nothing (its range is reported through Gaps).
+func scanSegment(g *segment, from, to int64, f Filter, mask uint64, fn func(int64, chain.Txn) bool) bool {
 	if !g.load() {
 		return true
 	}
@@ -351,10 +344,12 @@ func scanSegment(g *segment, from, to int64, f Filter, types map[chain.TxnType]b
 
 	if len(f.Actors) == 0 {
 		// Type postings are the answer; no per-posting checks needed.
-		// byType lists are untyped — the map key fixes the type each
-		// iterator reports.
+		// byType lists are untyped — the mask bit fixes the type each
+		// iterator reports. One bit per type, so a type listed twice
+		// is merged once.
 		typeIts := itsBuf[:0]
-		for tt := range types {
+		for m := mask; m != 0; m &= m - 1 {
+			tt := chain.TxnType(bits.TrailingZeros64(m))
 			if ps := g.byType[tt]; ps != nil && ps.n > 0 {
 				typeIts = append(typeIts, ps.iter(tt))
 			}
@@ -370,36 +365,24 @@ func scanSegment(g *segment, from, to int64, f Filter, types map[chain.TxnType]b
 	}
 	// Rewards parked on the shared list (fan-out suppressed) are
 	// merged in and filtered by inspecting their entries in emit.
-	if g.shared.n > 0 && (types == nil || types[chain.TxnRewards]) {
+	if g.shared.n > 0 && (mask == 0 || mask&(1<<chain.TxnRewards) != 0) {
 		actorIts = append(actorIts, g.shared.iter(0))
 	}
-	switch {
-	case types == nil:
-		return mergePostings(actorIts, 0, emit)
-	case mask != 0:
-		// Both dimensions: postings carry their txn type, so the type
-		// conjunction happens inside the iterators — rejected postings
-		// never load a block or cross a function call.
-		return mergePostings(actorIts, mask, emit)
-	default:
-		return mergePostings(actorIts, 0, func(p pos) bool {
-			if !types[p.tt] {
-				return true
-			}
-			return emit(p)
-		})
-	}
+	// With a type filter too, postings carry their txn type, so the
+	// type conjunction happens inside the iterators — rejected
+	// postings never load a block or cross a function call.
+	return mergePostings(actorIts, mask, emit)
 }
 
 // scanBlocks linearly visits unindexed blocks with the filter applied.
-func scanBlocks(blocks []*chain.Block, from, to int64, f Filter, types map[chain.TxnType]bool, fn func(int64, chain.Txn) bool) bool {
+func scanBlocks(blocks []*chain.Block, from, to int64, f Filter, mask uint64, fn func(int64, chain.Txn) bool) bool {
 	i := sort.Search(len(blocks), func(i int) bool { return blocks[i].Height >= from })
 	for _, b := range blocks[i:] {
 		if b.Height > to {
 			return true
 		}
 		for _, t := range b.Txns {
-			if types != nil && !types[t.TxnType()] {
+			if mask != 0 && mask&(1<<t.TxnType()) == 0 {
 				continue
 			}
 			if len(f.Actors) > 0 && !mentionsAny(t, f.Actors) {

@@ -106,8 +106,8 @@ func (h *chaosHarness) corruptSegment(t *testing.T, id ShardID) {
 // chaosSource is the fed-layer fault injector: it can stall (Next
 // blocks until the supervisor declares the node wedged and crashes
 // it) or disconnect (Next reports end of stream, as if the producer
-// hung up). BlockAt and Tip always pass through — the watchdog and
-// seq recovery see the real source.
+// hung up). BlockAt always passes through — seq recovery sees the
+// real source.
 type chaosSource struct {
 	Source
 	h      *chaosHarness
@@ -116,7 +116,7 @@ type chaosSource struct {
 	once   sync.Once
 }
 
-func (s *chaosSource) Next(after int64) (*chain.Block, bool) {
+func (s *chaosSource) Next() (*chain.Block, bool) {
 	if s.h.claim(s.h.drop, s.id) {
 		return nil, false
 	}
@@ -124,7 +124,7 @@ func (s *chaosSource) Next(after int64) (*chain.Block, bool) {
 		<-s.closed
 		return nil, false
 	}
-	return s.Source.Next(after)
+	return s.Source.Next()
 }
 
 func (s *chaosSource) Close() {

@@ -12,9 +12,9 @@ import (
 )
 
 // nodeSlot is one shard's stable identity across node incarnations:
-// the router and merged tail address the slot, the supervisor swaps
-// the Node behind it when a crashed follower is restarted. A slot
-// with a nil node is a shard that is down (its last start failed).
+// the router addresses the slot, the supervisor swaps the Node behind
+// it when a crashed follower is restarted. A slot with a nil node is a
+// shard that is down (its last start failed).
 type nodeSlot struct {
 	id ShardID
 
@@ -59,12 +59,11 @@ func (sl *nodeSlot) downErr() error {
 // With Options.ShardStore set the nodes are durable, and a Supervisor
 // (see Supervise) can restart crashed or wedged ones in place.
 type Cluster struct {
-	part      Partition
-	opts      Options
-	slots     []*nodeSlot
-	router    *Router
-	sourceTip func() int64
-	newSource func() Source
+	part   Partition
+	opts   Options
+	src    *chain.Chain
+	slots  []*nodeSlot
+	router *Router
 
 	mu  sync.Mutex
 	sup *Supervisor // guarded by mu
@@ -74,18 +73,8 @@ type Cluster struct {
 // chain, one node per partition slice. Nodes ingest concurrently;
 // use WaitHeight to synchronize with a known tip.
 func FollowChain(c *chain.Chain, part Partition, opts Options) *Cluster {
-	return build(part, opts, c.Height, func() Source { return NewChainSource(c) })
-}
-
-// FollowStore builds a cluster whose nodes tail an upstream etl.Store
-// through its lossless Tail.
-func FollowStore(up *etl.Store, part Partition, opts Options) *Cluster {
-	return build(part, opts, up.Height, func() Source { return NewStoreSource(up) })
-}
-
-func build(part Partition, opts Options, tip func() int64, newSource func() Source) *Cluster {
 	n := part.NumShards()
-	cl := &Cluster{part: part, opts: opts, sourceTip: tip, newSource: newSource}
+	cl := &Cluster{part: part, opts: opts, src: c}
 	shards := make([]Shard, n)
 	for i := 0; i < n; i++ {
 		sl := &nodeSlot{id: ShardID(i)}
@@ -99,7 +88,7 @@ func build(part Partition, opts Options, tip func() int64, newSource func() Sour
 		cl.slots = append(cl.slots, sl)
 		shards[i] = &localShard{sl: sl}
 	}
-	cl.router = NewRouter(part, shards, opts, tip)
+	cl.router = NewRouter(part, shards, opts, c.Height)
 	return cl
 }
 
@@ -112,7 +101,7 @@ func (cl *Cluster) startNode(id ShardID) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	src := cl.newSource()
+	var src Source = chainSource{Tail: cl.src.Follow(store.Height()), c: cl.src}
 	if cl.opts.WrapSource != nil {
 		src = cl.opts.WrapSource(id, src)
 	}
@@ -120,7 +109,7 @@ func (cl *Cluster) startNode(id ShardID) (*Node, error) {
 }
 
 // openStore opens the shard's store per Options.ShardStore (nil means
-// a fresh in-memory node). A durable open forces every lazy segment
+// a fresh in-memory store). A durable open forces every lazy segment
 // load immediately (Preload) so damage left by the previous
 // incarnation is discovered now, not mid-query; a store with gaps
 // cannot serve bit-identical answers — and a follower only re-tails
@@ -128,7 +117,7 @@ func (cl *Cluster) startNode(id ShardID) (*Node, error) {
 // directory is wiped and the shard re-ingests cold from the source.
 func (cl *Cluster) openStore(id ShardID) (*etl.Store, bool, error) {
 	if cl.opts.ShardStore == nil {
-		return nil, false, nil
+		return etl.New(etl.Config{}), false, nil
 	}
 	dir, cfg := cl.opts.ShardStore(id)
 	s, err := etl.Open(dir, cfg)
@@ -224,7 +213,7 @@ func (cl *Cluster) Kill(id ShardID) error {
 // Shards snapshots every shard's operational state with lag relative
 // to the source tip — the /etl health surface.
 func (cl *Cluster) Shards() []ShardInfo {
-	tip := cl.sourceTip()
+	tip := cl.src.Height()
 	out := make([]ShardInfo, len(cl.slots))
 	for i, sl := range cl.slots {
 		n := sl.current()

@@ -9,10 +9,9 @@
 // appends EVERY upstream height to its store, keeping the original
 // block header (height, timestamp, hashes) and only the transactions
 // its partition slice owns — possibly none. Lag is therefore uniform
-// (source tip minus store tip, in blocks) across shards, the merged
-// tail reassembles the exact upstream block sequence without gaps,
-// and a query fanned to all shards is always correct because
-// non-owning shards contribute empty partials.
+// (source tip minus store tip, in blocks) across shards, and a query
+// fanned to all shards is always correct because non-owning shards
+// contribute empty partials.
 //
 // Stragglers never block a result: shards that miss their per-shard
 // timeout are reported as height gaps (quorum permitting), and shards

@@ -400,39 +400,16 @@ func TestRoutingPrecision(t *testing.T) {
 	}
 }
 
-// TestLiveFollowAndMergedTail replays the world into a fresh chain
-// while a cluster follows it live, then checks (a) post-catch-up
-// queries match the reference and (b) the merged tail reassembled the
-// exact block sequence — headers, hashes, and intra-block txn order.
-func TestLiveFollowAndMergedTail(t *testing.T) {
+// TestLiveFollow replays the world into a fresh chain while a cluster
+// follows it live, then checks post-catch-up queries match the
+// reference.
+func TestLiveFollow(t *testing.T) {
 	src := testChain(t)
-	blocks := src.Blocks()
-
 	live := chain.NewChain(src.Genesis)
 	cl := FollowChain(live, ByRegion(3), Options{})
 	defer cl.Close()
-	tail := cl.Tail(-1)
-	defer tail.Close()
 
-	type tailed struct {
-		blocks []*chain.Block
-		err    error
-	}
-	collected := make(chan tailed, 1)
-	go func() {
-		var got tailed
-		for len(got.blocks) < len(blocks) {
-			b, ok := tail.Next()
-			if !ok {
-				got.err = fmt.Errorf("merged tail ended after %d blocks", len(got.blocks))
-				break
-			}
-			got.blocks = append(got.blocks, b)
-		}
-		collected <- got
-	}()
-
-	for _, b := range blocks {
+	for _, b := range src.Blocks() {
 		if _, err := live.AppendBlock(b.Height, b.Txns); err != nil {
 			t.Fatalf("replay height %d: %v", b.Height, err)
 		}
@@ -450,24 +427,6 @@ func TestLiveFollowAndMergedTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	assertSameResult(t, "live mix", res, Reference(live.Blocks(), q))
-
-	got := <-collected
-	if got.err != nil {
-		t.Fatal(got.err)
-	}
-	liveBlocks := live.Blocks()
-	for i, want := range liveBlocks {
-		b := got.blocks[i]
-		if b.Height != want.Height || b.Hash != want.Hash || len(b.Txns) != len(want.Txns) {
-			t.Fatalf("tail block %d = (h=%d, %s, %d txns), want (h=%d, %s, %d txns)",
-				i, b.Height, b.Hash, len(b.Txns), want.Height, want.Hash, len(want.Txns))
-		}
-		for j := range want.Txns {
-			if b.Txns[j] != want.Txns[j] {
-				t.Fatalf("tail block %d txn %d out of order", i, j)
-			}
-		}
-	}
 }
 
 // TestShardInfoLag: cluster shard snapshots report lag relative to

@@ -3,7 +3,6 @@ package fed
 import (
 	"errors"
 	"sync"
-	"time"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
@@ -18,110 +17,24 @@ var ErrKilled = errors.New("fed: follower killed")
 // lagging with no progress across the watchdog window.
 var errWedged = errors.New("fed: follower wedged")
 
-// Source is the block feed a shard node tails: a blocking iterator
-// over the producer's block sequence. Next returns the first block
-// with height beyond after, blocking until one exists; it returns
-// false only after Close. Next is called from a single goroutine (the
-// node's ingest loop); Close may race with it. BlockAt is a random
-// read of one already-produced block — restarted nodes use it to
-// re-derive per-block metadata without re-tailing — and must work
-// even after Close.
+// Source is the block feed a shard node tails: an etl.Feed over the
+// producer's block sequence, positioned at the node's store tip when
+// it is built, plus BlockAt, a random read of one already-produced
+// block. Restarted nodes use BlockAt to re-derive per-block metadata
+// without re-tailing, so it must work even after Close.
 type Source interface {
-	Next(after int64) (*chain.Block, bool)
+	etl.Feed
 	BlockAt(height int64) *chain.Block
-	Tip() int64
-	Close()
 }
 
-// NewChainSource tails a live chain.Chain through its subscription:
-// the node-facing equivalent of etl's FollowChain, pulling blocks
-// with BlocksFrom so a coalesced signal never loses data.
-func NewChainSource(c *chain.Chain) Source {
-	notify, cancel := c.Subscribe()
-	return &chainSource{c: c, notify: notify, cancel: cancel}
-}
-
+// chainSource is the production Source: a chain.Tail plus the random
+// read the tail itself does not offer.
 type chainSource struct {
-	c      *chain.Chain
-	notify <-chan struct{}
-	cancel func()
-	// buf holds a fetched suffix not yet handed out; only the ingest
-	// goroutine touches it.
-	buf []*chain.Block
+	*chain.Tail
+	c *chain.Chain
 }
 
-func (s *chainSource) Next(after int64) (*chain.Block, bool) {
-	for {
-		for len(s.buf) > 0 && s.buf[0].Height <= after {
-			s.buf = s.buf[1:]
-		}
-		if len(s.buf) > 0 {
-			b := s.buf[0]
-			s.buf = s.buf[1:]
-			return b, true
-		}
-		s.buf = s.c.BlocksFrom(after)
-		if len(s.buf) > 0 {
-			continue
-		}
-		if _, ok := <-s.notify; !ok {
-			// Canceled. Drain any final suffix appended after the last
-			// signal we consumed, then report end of stream.
-			s.buf = s.c.BlocksFrom(after)
-			if len(s.buf) == 0 {
-				return nil, false
-			}
-		}
-	}
-}
-
-func (s *chainSource) BlockAt(height int64) *chain.Block { return s.c.BlockAt(height) }
-func (s *chainSource) Tip() int64                        { return s.c.Height() }
-func (s *chainSource) Close()                            { s.cancel() }
-
-// NewStoreSource tails an upstream etl.Store through its lossless
-// Tail (Store.Follow), for topologies where shards hang off a primary
-// store rather than the chain producer itself.
-func NewStoreSource(up *etl.Store) Source {
-	return &storeSource{up: up}
-}
-
-type storeSource struct {
-	up *etl.Store
-
-	mu     sync.Mutex
-	tail   *etl.Tail // guarded by mu
-	closed bool      // guarded by mu
-}
-
-func (s *storeSource) Next(after int64) (*chain.Block, bool) {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return nil, false
-	}
-	if s.tail == nil {
-		// Created on first use so the tail resumes exactly where the
-		// node's store left off.
-		s.tail = s.up.Follow(after)
-	}
-	t := s.tail
-	s.mu.Unlock()
-	return t.Next()
-}
-
-func (s *storeSource) BlockAt(height int64) *chain.Block { return s.up.BlockAt(height) }
-func (s *storeSource) Tip() int64                        { return s.up.Height() }
-
-func (s *storeSource) Close() {
-	s.mu.Lock()
-	s.closed = true
-	t := s.tail
-	s.mu.Unlock()
-	if t != nil {
-		t.Close()
-	}
-}
+func (s chainSource) BlockAt(height int64) *chain.Block { return s.c.BlockAt(height) }
 
 // Node is one shard: an etl.Store holding the partition slice it
 // owns, fed by a goroutine tailing the source. Per the package
@@ -138,13 +51,8 @@ type Node struct {
 	part    Partition
 	store   *etl.Store
 	src     Source
-	done    chan struct{}
-	stop    chan struct{} // closed by Close/crash; interrupts retry backoff
-	durable bool          // store came from etl.Open; graceful Close flushes it
-	backoff *etl.Backoff
-
-	srcOnce  sync.Once
-	stopOnce sync.Once
+	f       *etl.Follower
+	durable bool // store came from etl.Open; graceful Close flushes it
 
 	mu sync.RWMutex
 	// seq maps a kept transaction to its index in the original
@@ -155,72 +63,45 @@ type Node struct {
 	// memory-only: after a restart it is rebuilt lazily, one height at
 	// a time, by re-filtering the source block (rebuildSeqLocked).
 	seq map[chain.Txn]int32 // guarded by mu
-	err error               // guarded by mu
+	err error               // guarded by mu — a crash's cause
 }
 
-// newNode starts one shard incarnation over the given store (nil
-// means a fresh in-memory store).
+// newNode starts one shard incarnation over the given store; src must
+// be positioned at the store's tip.
 func newNode(id ShardID, part Partition, src Source, store *etl.Store, durable bool) *Node {
-	if store == nil {
-		store = etl.New(etl.Config{})
-	}
 	n := &Node{
 		id:      id,
 		part:    part,
 		store:   store,
 		src:     src,
-		done:    make(chan struct{}),
-		stop:    make(chan struct{}),
 		durable: durable,
-		backoff: etl.NewBackoff(0, 0),
 		seq:     make(map[chain.Txn]int32),
 	}
-	go n.run()
+	n.f = store.FollowFeed(shardFeed{n})
 	return n
 }
 
-func (n *Node) run() {
-	defer close(n.done)
-	after := n.store.Height()
-	for {
-		b, ok := n.src.Next(after)
-		if !ok {
-			return
-		}
-		piece, seqs := n.filter(b)
-		n.mu.Lock()
-		for i, t := range piece.Txns {
-			n.seq[t] = seqs[i]
-		}
-		n.mu.Unlock()
-		if err := n.ingest(piece); err != nil {
-			n.setErr(err)
-			return
-		}
-		after = b.Height
+// shardFeed is what the node's follower ingests: each upstream block
+// projected onto the shard, its kept transactions' upstream indexes
+// recorded before the store sees them.
+type shardFeed struct{ n *Node }
+
+func (sf shardFeed) Next() (*chain.Block, bool) {
+	n := sf.n
+	b, ok := n.src.Next()
+	if !ok {
+		return nil, false
 	}
+	piece, seqs := n.filter(b)
+	n.mu.Lock()
+	for i, t := range piece.Txns {
+		n.seq[t] = seqs[i]
+	}
+	n.mu.Unlock()
+	return piece, true
 }
 
-// ingest appends one block, retrying transient persistence faults
-// with capped, jittered exponential backoff (mirroring etl.Follower).
-// Close/crash interrupts the backoff; anything past the retry budget
-// is permanent and kills the incarnation — the supervisor's problem.
-func (n *Node) ingest(b *chain.Block) error {
-	const maxRetries = 8
-	for attempt := 0; ; attempt++ {
-		err := n.store.Append(b)
-		var pe *etl.PersistError
-		if err == nil || !errors.As(err, &pe) || attempt >= maxRetries {
-			return err
-		}
-		n.store.NoteIngestRetry()
-		select {
-		case <-n.stop:
-			return err
-		case <-time.After(n.backoff.Delay(attempt)):
-		}
-	}
-}
+func (sf shardFeed) Close() { sf.n.src.Close() }
 
 // filter projects an upstream block onto this shard: the original
 // header with only the owned transactions, plus their original
@@ -298,19 +179,16 @@ func (n *Node) rebuildSeqLocked(height int64) {
 	}
 }
 
-func (n *Node) setErr(err error) {
-	n.mu.Lock()
-	if n.err == nil {
-		n.err = err
-	}
-	n.mu.Unlock()
-}
-
-// Err returns the first ingest error, if any.
+// Err returns the node's first error — a crash's cause or the
+// follower's ingest error, whichever came first — if any.
 func (n *Node) Err() error {
 	n.mu.RLock()
-	defer n.mu.RUnlock()
-	return n.err
+	err := n.err
+	n.mu.RUnlock()
+	if err == nil {
+		err = n.f.Err()
+	}
+	return err
 }
 
 // Store exposes the node's underlying store (read-only use).
@@ -319,9 +197,7 @@ func (n *Node) Store() *etl.Store { return n.store }
 // Close stops the ingest loop, waits for it to exit, and — for a
 // durable node — flushes the store (sealed index sync, WAL close).
 func (n *Node) Close() error {
-	n.stopOnce.Do(func() { close(n.stop) })
-	n.srcOnce.Do(n.src.Close)
-	<-n.done
+	n.f.Close()
 	if n.durable {
 		if cerr := n.store.Close(); cerr != nil && n.Err() == nil {
 			return cerr
@@ -335,10 +211,12 @@ func (n *Node) Close() error {
 // only what the WAL already fsynced survives, exactly what a process
 // death leaves behind. The store directory stays reopenable.
 func (n *Node) crash(err error) {
-	n.setErr(err)
-	n.stopOnce.Do(func() { close(n.stop) })
-	n.srcOnce.Do(n.src.Close)
-	<-n.done
+	n.mu.Lock()
+	if n.err == nil && n.f.Err() == nil {
+		n.err = err
+	}
+	n.mu.Unlock()
+	n.f.Close()
 }
 
 // Info snapshots the node for operational surfaces. Lag is filled in

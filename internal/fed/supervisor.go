@@ -219,7 +219,7 @@ func (s *Supervisor) watch(sl *nodeSlot) {
 		select {
 		case <-s.stop:
 			return
-		case <-n.done:
+		case <-n.f.Done():
 			// The follower exited: crashed on an error, was killed, or
 			// its source ended under it (producer disconnect). All of
 			// them recover the same way — a fresh incarnation that
@@ -236,7 +236,7 @@ func (s *Supervisor) watch(sl *nodeSlot) {
 		case <-probe.C:
 			tip := n.store.Height()
 			switch {
-			case tip >= n.src.Tip():
+			case tip >= s.cl.src.Height():
 				// Caught up: the incarnation proved itself; the breaker's
 				// consecutive-failure count resets.
 				s.markHealthy(sl.id)

@@ -2,6 +2,7 @@ package geo
 
 import (
 	"math"
+	"sort"
 	"sync"
 )
 
@@ -210,13 +211,24 @@ func (r Raster) Evaluate(cs *CoverageSet) CoverageResult {
 	}
 
 	// Add the sub-cell contributions for cells not already covered by
-	// a large shape. Cap each cell at one cell-area.
-	subArea := 0.0
-	for key, sc := range small {
-		if coveredByLarge[key] {
-			continue
+	// a large shape. Cap each cell at one cell-area. Float addition is
+	// not associative, so the cells are summed in sorted key order:
+	// map order would change the last bits from call to call.
+	keys := make([][2]int, 0, len(small))
+	for key := range small {
+		if !coveredByLarge[key] {
+			keys = append(keys, key)
 		}
-		a := sc.areaSum
+	}
+	sort.Slice(keys, func(i, j int) bool {
+		if keys[i][0] != keys[j][0] {
+			return keys[i][0] < keys[j][0]
+		}
+		return keys[i][1] < keys[j][1]
+	})
+	subArea := 0.0
+	for _, key := range keys {
+		a := small[key].areaSum
 		if a > cellArea {
 			a = cellArea
 		}

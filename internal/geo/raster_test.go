@@ -54,6 +54,27 @@ func TestRasterSubCellShapes(t *testing.T) {
 	}
 }
 
+// TestRasterSubCellSumRepeatable: many small shapes in distinct cells
+// give many sub-cell terms of different sizes; their sum must not
+// depend on map iteration order, so repeated calls agree to the bit.
+func TestRasterSubCellSumRepeatable(t *testing.T) {
+	land := equatorSquare()
+	cs := &CoverageSet{}
+	for i := 0; i < 20; i++ {
+		for j := 0; j < 20; j++ {
+			r := 0.1 + float64((i*20+j)*37%100)/250
+			cs.AddCircle(Point{0.025 + float64(i)*0.048, 0.025 + float64(j)*0.048}, r)
+		}
+	}
+	rs := Raster{Landmass: land, CellKm: 5}
+	first := rs.Evaluate(cs).CoveredKm2
+	for k := 0; k < 20; k++ {
+		if got := rs.Evaluate(cs).CoveredKm2; math.Float64bits(got) != math.Float64bits(first) {
+			t.Fatalf("call %d: covered %v km², first call %v km²", k+1, got, first)
+		}
+	}
+}
+
 func TestRasterOverlapNotDoubleCounted(t *testing.T) {
 	land := equatorSquare()
 	cs := &CoverageSet{}

@@ -115,9 +115,14 @@ func New(opts Options) *Study {
 
 // Attach builds a Study subscribed to the store's block tail from
 // genesis: it replays every stored block, then folds new ones as they
-// are ingested. Stop it with Close.
+// are ingested. The ledger replica validates with the store ledger's
+// PoC challenge interval, so a chain built under a compressed interval
+// replays cleanly. Stop it with Close.
 func Attach(s *etl.Store, opts Options) *Study {
 	st := New(opts)
+	if l := s.Ledger(); l != nil {
+		st.ledger.SetPoCInterval(l.PoCInterval())
+	}
 	st.store = s
 	st.tail = s.Follow(-1)
 	st.done = make(chan struct{})

@@ -305,3 +305,36 @@ func TestLiveStudyCloseUnblocks(t *testing.T) {
 		t.Fatal("Close did not unblock the tail goroutine")
 	}
 }
+
+// TestLiveStudyAdoptsPoCInterval: a chain built under a compressed
+// PoC challenge interval (as the simulator builds its chains) replays
+// into the study's ledger replica without rejections — the replica
+// validates with the attached store ledger's interval, not the
+// 480-block default.
+func TestLiveStudyAdoptsPoCInterval(t *testing.T) {
+	c := chain.NewChain(chain.DefaultGenesis)
+	c.Ledger().SetPoCInterval(1)
+	for _, b := range []struct {
+		h    int64
+		txns []chain.Txn
+	}{
+		{1, []chain.Txn{&chain.AddGateway{Gateway: "hs1", Owner: "w"}}},
+		{10, []chain.Txn{&chain.PoCRequest{Challenger: "hs1", SecretHash: "a"}}},
+		{20, []chain.Txn{&chain.PoCRequest{Challenger: "hs1", SecretHash: "b"}}},
+	} {
+		if _, err := c.AppendBlock(b.h, b.txns); err != nil {
+			t.Fatalf("append block %d: %v", b.h, err)
+		}
+	}
+	st := live.Attach(etl.FromChain(c), live.Options{})
+	defer st.Close()
+	if !waitHeight(st, c.Height(), 10*time.Second) {
+		t.Fatalf("study stuck at height %d, chain at %d", st.Height(), c.Height())
+	}
+	if sn := st.Snapshot(); sn.ApplyErrs != 0 {
+		t.Fatalf("replica rejected %d txns: %v", sn.ApplyErrs, st.Err())
+	}
+	if err := st.Err(); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -83,22 +83,8 @@ func DefaultMeasureOptions() MeasureOptions { return core.DefaultMeasureOptions(
 // The chain is first loaded into an internal ETL store (the stand-in
 // for the DeWi ETL service the paper queried), so the analyses resolve
 // through its indexes and materialized aggregates rather than raw
-// block scans. MeasureDirect skips the indexing.
-func Measure(w *World) *Study { return MeasureWith(w, DefaultMeasureOptions()) }
-
-// MeasureWith is Measure with explicit analysis cutoffs.
-func MeasureWith(w *World, opts MeasureOptions) *Study {
-	d := core.FromSimulation(w)
-	d.Chain = etl.FromChain(w.Chain).View()
-	return measure(d, w, opts)
-}
-
-// MeasureDirect runs the same suite with full chain scans instead of
-// the ETL indexes — mainly useful for benchmarking one against the
-// other.
-func MeasureDirect(w *World) *Study {
-	return measure(core.FromSimulation(w), w, DefaultMeasureOptions())
-}
+// block scans.
+func Measure(w *World) *Study { return MeasureStore(etl.FromChain(w.Chain), w) }
 
 // MeasureStore runs the suite over an already-open ETL store without
 // re-indexing anything: the analyses resolve through the store's
@@ -134,12 +120,7 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 	if opts.PoCWeight > 0 {
 		d.PoCWeight = opts.PoCWeight
 	}
-	return measure(d, w, opts)
-}
-
-func measure(d *core.Dataset, w *World, opts MeasureOptions) *Study {
-	opts = opts.Normalized()
-	s := &Study{
+	st := &Study{
 		Dataset:   d,
 		World:     w,
 		Summary:   d.SummarizeChain(),
@@ -154,9 +135,9 @@ func measure(d *core.Dataset, w *World, opts MeasureOptions) *Study {
 	}
 	if w != nil {
 		// The relay analyses need the world's p2p swarm and seed.
-		s.Relays = d.AnalyzeRelays(5, stats.NewRNG(w.Cfg.Seed^0x4e1a))
+		st.Relays = d.AnalyzeRelays(5, stats.NewRNG(w.Cfg.Seed^0x4e1a))
 	}
-	return s
+	return st
 }
 
 // LiveStudy re-exports internal/live's incremental study: the §3–§6
