@@ -118,9 +118,16 @@ func (e Estimator) Radius300m(hotspots []geo.Point) geo.CoverageResult {
 	return e.evaluate(cs)
 }
 
-// hullFor returns the hull polygon for one challenge under a witness
-// filter, or an empty polygon if fewer than 3 usable points.
-func hullFor(ch Challenge, maxDistKm float64) ([]geo.Point, geo.Polygon) {
+// witnessHull is one challenge's hull points (the challengee first,
+// then its usable witnesses) and their convex hull.
+type witnessHull struct {
+	pts  []geo.Point
+	hull geo.Polygon
+}
+
+// hullFor returns the hull for one challenge under a witness filter;
+// the polygon is empty if there are fewer than 3 usable points.
+func hullFor(ch Challenge, maxDistKm float64) witnessHull {
 	pts := []geo.Point{ch.Challengee}
 	for _, w := range ch.Witnesses {
 		if !w.Valid {
@@ -131,16 +138,28 @@ func hullFor(ch Challenge, maxDistKm float64) ([]geo.Point, geo.Polygon) {
 		}
 		pts = append(pts, w.Location)
 	}
-	return pts, geo.ConvexHull(pts)
+	return witnessHull{pts, geo.ConvexHull(pts)}
+}
+
+// witnessHulls builds every challenge's hull under a witness filter.
+func witnessHulls(challenges []Challenge, maxDistKm float64) []witnessHull {
+	out := make([]witnessHull, len(challenges))
+	for i, ch := range challenges {
+		out[i] = hullFor(ch, maxDistKm)
+	}
+	return out
 }
 
 // ConvexHulls builds the witness-hull model (Fig 12c), or the 25 km
 // pruned variant when cutoffKm > 0 (Fig 12d).
 func (e Estimator) ConvexHulls(challenges []Challenge, cutoffKm float64) geo.CoverageResult {
+	return e.hullModel(witnessHulls(challenges, cutoffKm))
+}
+
+func (e Estimator) hullModel(hulls []witnessHull) geo.CoverageResult {
 	cs := &geo.CoverageSet{}
-	for _, ch := range challenges {
-		_, hull := hullFor(ch, cutoffKm)
-		cs.AddPolygon(hull)
+	for _, h := range hulls {
+		cs.AddPolygon(h.hull)
 	}
 	return e.evaluate(cs)
 }
@@ -150,9 +169,15 @@ func (e Estimator) ConvexHulls(challenges []Challenge, cutoffKm float64) geo.Cov
 // to the challengee, grown by the free-space RSSI term
 // d = 10^((w−s)/20) meters.
 func (e Estimator) RadialRSSI(challenges []Challenge) geo.CoverageResult {
+	return e.radialModel(challenges, witnessHulls(challenges, WitnessCutoffKm))
+}
+
+// radialModel is RadialRSSI over the challenges' 25 km hulls, given in
+// challenge order.
+func (e Estimator) radialModel(challenges []Challenge, hulls []witnessHull) geo.CoverageResult {
 	cs := &geo.CoverageSet{}
-	for _, ch := range challenges {
-		pts, hull := hullFor(ch, WitnessCutoffKm)
+	for i, ch := range challenges {
+		pts, hull := hulls[i].pts, hulls[i].hull
 		cs.AddPolygon(hull)
 		// Vertex witnesses: each hull vertex that is a witness (not
 		// the challengee) radiates its challenge distance.
@@ -232,22 +257,24 @@ type Summary struct {
 func HullPolygons(challenges []Challenge, cutoffKm float64) []geo.Polygon {
 	var out []geo.Polygon
 	for _, ch := range challenges {
-		if _, hull := hullFor(ch, cutoffKm); len(hull.Vertices) >= 3 {
-			out = append(out, hull)
+		if h := hullFor(ch, cutoffKm); len(h.hull.Vertices) >= 3 {
+			out = append(out, h.hull)
 		}
 	}
 	return out
 }
 
-// Evaluate runs every model.
+// Evaluate runs every model. The 25 km hulls are built once and
+// shared by the pruned-hull and radial models.
 func (e Estimator) Evaluate(hotspots []geo.Point, challenges []Challenge) Summary {
+	pruned := witnessHulls(challenges, WitnessCutoffKm)
 	return Summary{
 		Hotspots:      len(hotspots),
 		Challenges:    len(challenges),
 		Radius300m:    e.Radius300m(hotspots),
 		ConvexHull:    e.ConvexHulls(challenges, 0),
-		Hull25km:      e.ConvexHulls(challenges, WitnessCutoffKm),
-		RadialRSSI:    e.RadialRSSI(challenges),
+		Hull25km:      e.hullModel(pruned),
+		RadialRSSI:    e.radialModel(challenges, pruned),
 		WitnessDistKm: WitnessDistanceCDF(challenges),
 		WitnessRSSI:   WitnessRSSICDF(challenges),
 	}

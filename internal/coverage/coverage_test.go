@@ -1,6 +1,7 @@
 package coverage
 
 import (
+	"math"
 	"testing"
 
 	"peoplesnet/internal/chain"
@@ -70,6 +71,49 @@ func TestModelOrdering(t *testing.T) {
 	}
 	if !(s.Hull25km.Fraction < s.RadialRSSI.Fraction) {
 		t.Fatalf("hull (%v) should be below radial+RSSI (%v)", s.Hull25km.Fraction, s.RadialRSSI.Fraction)
+	}
+}
+
+// TestEvaluateSharesPrunedHulls checks that Evaluate, which builds the
+// 25 km hulls once for both models that use them, answers bit for bit
+// what separate ConvexHulls(…, 25) and RadialRSSI calls answer.
+func TestEvaluateSharesPrunedHulls(t *testing.T) {
+	rng := stats.NewRNG(3)
+	e := NewConusEstimator()
+	hotspots := denverish(120, rng)
+	var challenges []Challenge
+	for i, h := range hotspots {
+		ch := challengeAround(h, 3+i%4, 2+rng.Float64()*10, -90-rng.Float64()*30)
+		// A witness beyond the cutoff and an invalid one, so the
+		// pruned hulls differ from the unpruned ones.
+		ch.Witnesses = append(ch.Witnesses,
+			Witness{Location: geo.Destination(h, rng.Float64()*360, 40), RSSIdBm: -110, Valid: true},
+			Witness{Location: geo.Destination(h, rng.Float64()*360, 8), RSSIdBm: -70, Valid: false})
+		challenges = append(challenges, ch)
+	}
+	s := e.Evaluate(hotspots, challenges)
+	for _, m := range []struct {
+		name      string
+		got, want geo.CoverageResult
+	}{
+		{"hull-25km", s.Hull25km, e.ConvexHulls(challenges, WitnessCutoffKm)},
+		{"radial+rssi", s.RadialRSSI, e.RadialRSSI(challenges)},
+	} {
+		same := m.got.GridCells == m.want.GridCells
+		for _, f := range [][2]float64{
+			{m.got.LandmassKm2, m.want.LandmassKm2},
+			{m.got.CoveredKm2, m.want.CoveredKm2},
+			{m.got.Fraction, m.want.Fraction},
+		} {
+			same = same && math.Float64bits(f[0]) == math.Float64bits(f[1])
+		}
+		if !same {
+			t.Fatalf("%s: Evaluate %+v, separate call %+v", m.name, m.got, m.want)
+		}
+	}
+	if s.ConvexHull.CoveredKm2 <= s.Hull25km.CoveredKm2 {
+		t.Fatalf("unpruned hulls (%v km²) should cover more than pruned (%v km²)",
+			s.ConvexHull.CoveredKm2, s.Hull25km.CoveredKm2)
 	}
 }
 

@@ -150,34 +150,35 @@ func (d *Device) SendCounter(at float64, loc geo.Point) ([]byte, error) {
 }
 
 // HandleDownlink processes a received downlink; if it is a valid ACK
-// for the most recent uplink, the log entry is marked acknowledged.
-// window records which RX window delivered it.
-func (d *Device) HandleDownlink(wire []byte, window int) error {
+// for the most recent uplink, the log entry is marked acknowledged and
+// acked is true. window records which RX window delivered it.
+func (d *Device) HandleDownlink(wire []byte, window int) (acked bool, err error) {
 	if !d.joined {
-		return ErrNotJoined
+		return false, ErrNotJoined
 	}
 	f, err := lorawan.Parse(wire)
 	if err != nil {
-		return err
+		return false, err
 	}
 	if f.DevAddr != d.devAddr {
-		return fmt.Errorf("device: downlink for %v, we are %v", f.DevAddr, d.devAddr)
+		return false, fmt.Errorf("device: downlink for %v, we are %v", f.DevAddr, d.devAddr)
 	}
 	if err := f.Verify(d.keys.NwkSKey[:]); err != nil {
-		return err
+		return false, err
 	}
 	if !f.FCtrl.ACK || len(d.log) == 0 {
-		return nil
+		return false, nil
 	}
 	last := &d.log[len(d.log)-1]
-	if f.FCnt == last.FCnt {
-		last.Acked = true
-		last.AckWindow = window
+	if f.FCnt != last.FCnt {
+		return false, nil
 	}
-	return nil
+	last.Acked = true
+	last.AckWindow = window
+	return true, nil
 }
 
-// Log returns the device's send log (the SD card).
+// Log returns a copy of the device's send log (the SD card).
 func (d *Device) Log() []SendRecord { return append([]SendRecord(nil), d.log...) }
 
 // Counter returns the last counter value sent.

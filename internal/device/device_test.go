@@ -112,8 +112,12 @@ func TestAckUpdatesLog(t *testing.T) {
 		FCtrl:   lorawan.FCtrl{ACK: true},
 		FCnt:    f.FCnt,
 	}
-	if err := d.HandleDownlink(ack.Marshal(keys.NwkSKey[:]), 1); err != nil {
+	acked, err := d.HandleDownlink(ack.Marshal(keys.NwkSKey[:]), 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if !acked {
+		t.Fatal("matching ACK not reported")
 	}
 	log := d.Log()
 	if len(log) != 1 || !log[0].Acked || log[0].AckWindow != 1 {
@@ -127,22 +131,32 @@ func TestAckValidation(t *testing.T) {
 	d.SendCounter(10, geo.Point{})
 	// Wrong DevAddr.
 	wrongAddr := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: 0x99, FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if err := d.HandleDownlink(wrongAddr.Marshal(keys.NwkSKey[:]), 1); err == nil {
+	if _, err := d.HandleDownlink(wrongAddr.Marshal(keys.NwkSKey[:]), 1); err == nil {
 		t.Fatal("foreign downlink accepted")
 	}
 	// Bad MIC.
 	badMic := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if err := d.HandleDownlink(badMic.Marshal([]byte("nope")), 1); err == nil {
-		t.Fatal("bad MIC downlink accepted")
+	if acked, err := d.HandleDownlink(badMic.Marshal([]byte("nope")), 1); err == nil || acked {
+		t.Fatalf("bad MIC downlink accepted: acked %v, %v", acked, err)
+	}
+	// A downlink without the ACK bit acknowledges nothing, even with
+	// the latest FCnt.
+	noAck := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCnt: 1}
+	if acked, err := d.HandleDownlink(noAck.Marshal(keys.NwkSKey[:]), 1); err != nil || acked {
+		t.Fatalf("downlink without ACK bit: acked %v, %v", acked, err)
+	}
+	if d.Log()[0].Acked {
+		t.Fatal("downlink without ACK bit marked the packet")
 	}
 	// Stale FCnt does not mark the latest packet.
 	d.SendCounter(12, geo.Point{})
 	stale := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if err := d.HandleDownlink(stale.Marshal(keys.NwkSKey[:]), 2); err != nil {
+	acked, err := d.HandleDownlink(stale.Marshal(keys.NwkSKey[:]), 2)
+	if err != nil {
 		t.Fatal(err)
 	}
 	log := d.Log()
-	if log[len(log)-1].Acked {
+	if acked || log[len(log)-1].Acked {
 		t.Fatal("stale ACK marked the latest packet")
 	}
 }

@@ -187,7 +187,6 @@ func Run(cfg Config) (*Result, error) {
 		return nil, fmt.Errorf("fieldtest: no hotspots")
 	}
 	rng := stats.NewRNG(cfg.Seed)
-	devRNG := rng.Split("devices")
 	radioRNG := rng.Split("radio")
 	routerRNG := rng.Split("router")
 
@@ -350,7 +349,6 @@ func Run(cfg Config) (*Result, error) {
 
 	res := &Result{Ferried: map[string]int{}, RSSIByHotspot: map[string]*stats.CDF{}}
 	missRun := 0
-	_ = devRNG
 	for t < duration {
 		if !cfg.StaticShadowing {
 			resampleShadow()
@@ -399,9 +397,8 @@ func Run(cfg Config) (*Result, error) {
 				}
 			}
 			if ackDl != nil && ackVia >= 0 && deliverDownlink(ackVia, p) {
-				if err := dev.HandleDownlink(ackDl, window); err == nil {
-					log := dev.Log()
-					acked = log[len(log)-1].Acked
+				if ok, err := dev.HandleDownlink(ackDl, window); err == nil {
+					acked = ok
 				}
 			}
 		}

@@ -166,10 +166,7 @@ func TestDeterminism(t *testing.T) {
 }
 
 func TestFig16Diagnostics(t *testing.T) {
-	res, err := Run(Residential(7))
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runScenario(t, "residential", Residential, 7).res
 	// Fig 16: multiple hotspots ferry data for the residential sensor.
 	if len(res.Ferried) < 2 {
 		t.Fatalf("only %d hotspots ferried data", len(res.Ferried))

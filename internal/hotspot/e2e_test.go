@@ -111,8 +111,8 @@ func TestFullStackOverUDP(t *testing.T) {
 			t.Fatal(err)
 		}
 		radioHop(frame)
-		if err := dev.HandleDownlink(awaitDownlink(), 1); err != nil {
-			t.Fatalf("packet %d ack: %v", i, err)
+		if acked, err := dev.HandleDownlink(awaitDownlink(), 1); err != nil || !acked {
+			t.Fatalf("packet %d ack: acked %v, %v", i, acked, err)
 		}
 	}
 
