@@ -208,20 +208,16 @@ func (l *Ledger) GetHotspot(addr string) (Hotspot, bool) {
 	return cp, true
 }
 
-// Hotspots returns copies of all hotspot records, sorted by address
-// for determinism.
-func (l *Ledger) Hotspots() []Hotspot {
+// EachHotspot calls fn on every hotspot record, in no particular
+// order, under the ledger's read lock. The records are the ledger's
+// own: fn must not modify them, keep them past the call, or call back
+// into the ledger.
+func (l *Ledger) EachHotspot(fn func(*Hotspot)) {
 	l.mu.RLock()
 	defer l.mu.RUnlock()
-	out := make([]Hotspot, 0, len(l.hotspots))
 	for _, h := range l.hotspots {
-		cp := *h
-		cp.LocationHistory = append([]LocationEvent(nil), h.LocationHistory...)
-		cp.OwnerHistory = append([]OwnerEvent(nil), h.OwnerHistory...)
-		out = append(out, cp)
+		fn(h)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Address < out[j].Address })
-	return out
 }
 
 // SetOnline flags a hotspot's liveness (driven by the p2p layer).

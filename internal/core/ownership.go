@@ -73,26 +73,43 @@ func (d *Dataset) AnalyzeOwnership() OwnershipAnalysis {
 // AnalyzeOwnershipLedger is the §4.3 computation over any replayed
 // ledger. The live view calls it against its replica ledger — the
 // ledger itself is the incremental state, so both paths run this one
-// O(hotspots) walk at snapshot time. Ties (largest owner, equal fleet
-// sizes in Bulk) break toward the smaller address so the result is
-// identical regardless of map iteration order.
+// O(hotspots) walk at snapshot time, reading the records in place.
+// Ties (largest owner, equal fleet sizes in Bulk) break toward the
+// smaller address so the result is identical regardless of visit
+// order.
 func AnalyzeOwnershipLedger(ledger *chain.Ledger, meta map[string]HotspotMeta) OwnershipAnalysis {
 	type acc struct {
 		hotspots int
 		data     int64
 		cities   map[string]bool
 	}
+	type holding struct {
+		owner *acc
+		addr  string
+	}
 	owners := make(map[string]*acc)
-	for _, h := range ledger.Hotspots() {
+	held := make([]holding, 0, ledger.HotspotCount())
+	ledger.EachHotspot(func(h *chain.Hotspot) {
 		a := owners[h.Owner]
 		if a == nil {
-			a = &acc{cities: make(map[string]bool)}
+			a = &acc{}
 			owners[h.Owner] = a
 		}
 		a.hotspots++
 		a.data += h.DataPackets
-		if m, ok := meta[h.Address]; ok {
-			a.cities[m.City] = true
+		held = append(held, holding{a, h.Address})
+	})
+	// Only bulk owners report a city count, so only their hotspots
+	// are looked up in meta.
+	for _, hd := range held {
+		if hd.owner.hotspots < bulkOwner {
+			continue
+		}
+		if m, ok := meta[hd.addr]; ok {
+			if hd.owner.cities == nil {
+				hd.owner.cities = make(map[string]bool)
+			}
+			hd.owner.cities[m.City] = true
 		}
 	}
 	o := OwnershipAnalysis{PerOwner: stats.NewHistogram()}
@@ -104,7 +121,7 @@ func AnalyzeOwnershipLedger(ledger *chain.Ledger, meta map[string]HotspotMeta) O
 			o.MaxOwned = a.hotspots
 			o.MaxOwner = addr
 		}
-		if a.hotspots >= 10 {
+		if a.hotspots >= bulkOwner {
 			p := OwnerProfile{
 				Address:     addr,
 				Hotspots:    a.hotspots,
@@ -131,6 +148,10 @@ func AnalyzeOwnershipLedger(ledger *chain.Ledger, meta map[string]HotspotMeta) O
 	})
 	return o
 }
+
+// bulkOwner is the fleet size from which an owner is profiled in
+// OwnershipAnalysis.Bulk.
+const bulkOwner = 10
 
 // classifyOwner applies §4.3's inference: data movers holding HNT look
 // commercial; sizeable fleets that never engage in data transactions

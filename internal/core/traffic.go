@@ -146,24 +146,7 @@ func (t *TrafficAnalysis) detectSpike() {
 	if n < 10 {
 		return
 	}
-	const window = 150
-	baseline := make([]float64, n)
-	buf := make([]float64, 0, 2*window+1)
-	for i := range baseline {
-		lo, hi := i-window, i+window
-		if lo < 0 {
-			lo = 0
-		}
-		if hi > n {
-			hi = n
-		}
-		buf = append(buf[:0], t.PerClose.Ys[lo:hi]...)
-		sort.Float64s(buf)
-		baseline[i] = buf[len(buf)/2]
-		if baseline[i] <= 0 {
-			baseline[i] = 1
-		}
-	}
+	baseline := spikeBaseline(t.PerClose.Ys)
 	// Score each hot run by its excess volume above baseline and keep
 	// the biggest. Scoring by run *length* would let the noisy early
 	// chain (closes of a handful of packets over a baseline of one)
@@ -191,6 +174,38 @@ func (t *TrafficAnalysis) detectSpike() {
 			curStart = -1
 		}
 	}
+}
+
+// spikeWindow is the half-width, in closes, of the baseline window.
+const spikeWindow = 150
+
+// spikeBaseline returns, for each close i, the median (the upper one
+// for an even count) of ys[i-spikeWindow : i+spikeWindow] clipped to
+// the series, or 1 where that is not positive. One sorted copy of the
+// window slides along the series, inserting the entering close and
+// deleting the leaving one by binary search.
+func spikeBaseline(ys []float64) []float64 {
+	n := len(ys)
+	baseline := make([]float64, n)
+	win := make([]float64, 0, 2*spikeWindow)
+	lo, hi := 0, 0
+	for i := range baseline {
+		for ; hi < min(i+spikeWindow, n); hi++ {
+			j := sort.SearchFloat64s(win, ys[hi])
+			win = append(win, 0)
+			copy(win[j+1:], win[j:])
+			win[j] = ys[hi]
+		}
+		for ; lo < max(i-spikeWindow, 0); lo++ {
+			j := sort.SearchFloat64s(win, ys[lo])
+			win = append(win[:j], win[j+1:]...)
+		}
+		baseline[i] = win[len(win)/2]
+		if baseline[i] <= 0 {
+			baseline[i] = 1
+		}
+	}
+	return baseline
 }
 
 // RouterAnalysis reproduces §5.2: who runs routers.

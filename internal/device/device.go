@@ -25,7 +25,7 @@ type Device struct {
 	devNonce uint16
 	joined   bool
 	devAddr  lorawan.DevAddr
-	keys     lorawan.SessionKeys
+	nwkMIC   *lorawan.MICKey // keyed with the session's NwkSKey at join
 
 	fcnt    uint16
 	counter uint32
@@ -66,7 +66,7 @@ func (d *Device) BuildJoinRequest() []byte {
 		DevEUI:   d.DevEUI,
 		DevNonce: d.devNonce,
 	}
-	return f.Marshal(d.AppKey[:])
+	return f.Marshal(lorawan.NewMICKey(d.AppKey[:]))
 }
 
 // Errors.
@@ -84,12 +84,13 @@ func (d *Device) HandleJoinAccept(wire []byte) error {
 	if f.MType != lorawan.JoinAcceptType {
 		return ErrNotJoinAccept
 	}
-	if err := f.Verify(d.AppKey[:]); err != nil {
+	if err := f.Verify(lorawan.NewMICKey(d.AppKey[:])); err != nil {
 		return fmt.Errorf("device: join accept MIC: %w", err)
 	}
 	d.joined = true
 	d.devAddr = f.DevAddr
-	d.keys = lorawan.DeriveSessionKeys(d.AppKey, d.devNonce, f.JoinNonce)
+	keys := lorawan.DeriveSessionKeys(d.AppKey, d.devNonce, f.JoinNonce)
+	d.nwkMIC = lorawan.NewMICKey(keys.NwkSKey[:])
 	return nil
 }
 
@@ -146,7 +147,7 @@ func (d *Device) SendCounter(at float64, loc geo.Point) ([]byte, error) {
 	d.log = append(d.log, SendRecord{
 		Counter: d.counter, FCnt: d.fcnt, SentAt: at, Location: loc,
 	})
-	return f.Marshal(d.keys.NwkSKey[:]), nil
+	return f.Marshal(d.nwkMIC), nil
 }
 
 // HandleDownlink processes a received downlink; if it is a valid ACK
@@ -163,7 +164,7 @@ func (d *Device) HandleDownlink(wire []byte, window int) (acked bool, err error)
 	if f.DevAddr != d.devAddr {
 		return false, fmt.Errorf("device: downlink for %v, we are %v", f.DevAddr, d.devAddr)
 	}
-	if err := f.Verify(d.keys.NwkSKey[:]); err != nil {
+	if err := f.Verify(d.nwkMIC); err != nil {
 		return false, err
 	}
 	if !f.FCtrl.ACK || len(d.log) == 0 {

@@ -22,11 +22,11 @@ func acceptJoin(t *testing.T, d *Device) lorawan.SessionKeys {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := jr.Verify(d.AppKey[:]); err != nil {
+	if err := jr.Verify(lorawan.NewMICKey(d.AppKey[:])); err != nil {
 		t.Fatal("join request MIC invalid")
 	}
 	accept := &lorawan.Frame{MType: lorawan.JoinAcceptType, JoinNonce: 42, DevAddr: 0x48000001}
-	if err := d.HandleJoinAccept(accept.Marshal(d.AppKey[:])); err != nil {
+	if err := d.HandleJoinAccept(accept.Marshal(lorawan.NewMICKey(d.AppKey[:]))); err != nil {
 		t.Fatal(err)
 	}
 	return lorawan.DeriveSessionKeys(d.AppKey, jr.DevNonce, 42)
@@ -51,12 +51,12 @@ func TestHandleJoinAcceptErrors(t *testing.T) {
 	d.BuildJoinRequest()
 	// Not a join accept.
 	data := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: 1}
-	if err := d.HandleJoinAccept(data.Marshal(d.AppKey[:])); err != ErrNotJoinAccept {
+	if err := d.HandleJoinAccept(data.Marshal(lorawan.NewMICKey(d.AppKey[:]))); err != ErrNotJoinAccept {
 		t.Fatalf("wrong type: %v", err)
 	}
 	// Bad MIC.
 	accept := &lorawan.Frame{MType: lorawan.JoinAcceptType, JoinNonce: 1, DevAddr: 5}
-	if err := d.HandleJoinAccept(accept.Marshal([]byte("wrong"))); err == nil {
+	if err := d.HandleJoinAccept(accept.Marshal(lorawan.NewMICKey([]byte("wrong")))); err == nil {
 		t.Fatal("bad MIC accepted")
 	}
 	// Garbage.
@@ -80,7 +80,7 @@ func TestCounterAppRoundTrip(t *testing.T) {
 	if f.MType != lorawan.ConfirmedDataUp || f.DevAddr != d.DevAddr() {
 		t.Fatalf("frame = %+v", f)
 	}
-	if err := f.Verify(keys.NwkSKey[:]); err != nil {
+	if err := f.Verify(lorawan.NewMICKey(keys.NwkSKey[:])); err != nil {
 		t.Fatal("uplink MIC invalid")
 	}
 	payload, err := ParseCounterPayload(f.Payload)
@@ -112,7 +112,7 @@ func TestAckUpdatesLog(t *testing.T) {
 		FCtrl:   lorawan.FCtrl{ACK: true},
 		FCnt:    f.FCnt,
 	}
-	acked, err := d.HandleDownlink(ack.Marshal(keys.NwkSKey[:]), 1)
+	acked, err := d.HandleDownlink(ack.Marshal(lorawan.NewMICKey(keys.NwkSKey[:])), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -131,18 +131,18 @@ func TestAckValidation(t *testing.T) {
 	d.SendCounter(10, geo.Point{})
 	// Wrong DevAddr.
 	wrongAddr := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: 0x99, FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if _, err := d.HandleDownlink(wrongAddr.Marshal(keys.NwkSKey[:]), 1); err == nil {
+	if _, err := d.HandleDownlink(wrongAddr.Marshal(lorawan.NewMICKey(keys.NwkSKey[:])), 1); err == nil {
 		t.Fatal("foreign downlink accepted")
 	}
 	// Bad MIC.
 	badMic := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	if acked, err := d.HandleDownlink(badMic.Marshal([]byte("nope")), 1); err == nil || acked {
+	if acked, err := d.HandleDownlink(badMic.Marshal(lorawan.NewMICKey([]byte("nope"))), 1); err == nil || acked {
 		t.Fatalf("bad MIC downlink accepted: acked %v, %v", acked, err)
 	}
 	// A downlink without the ACK bit acknowledges nothing, even with
 	// the latest FCnt.
 	noAck := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCnt: 1}
-	if acked, err := d.HandleDownlink(noAck.Marshal(keys.NwkSKey[:]), 1); err != nil || acked {
+	if acked, err := d.HandleDownlink(noAck.Marshal(lorawan.NewMICKey(keys.NwkSKey[:])), 1); err != nil || acked {
 		t.Fatalf("downlink without ACK bit: acked %v, %v", acked, err)
 	}
 	if d.Log()[0].Acked {
@@ -151,7 +151,7 @@ func TestAckValidation(t *testing.T) {
 	// Stale FCnt does not mark the latest packet.
 	d.SendCounter(12, geo.Point{})
 	stale := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: d.DevAddr(), FCtrl: lorawan.FCtrl{ACK: true}, FCnt: 1}
-	acked, err := d.HandleDownlink(stale.Marshal(keys.NwkSKey[:]), 2)
+	acked, err := d.HandleDownlink(stale.Marshal(lorawan.NewMICKey(keys.NwkSKey[:])), 2)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -179,7 +179,7 @@ func uplinkFrame(t *testing.T) []byte {
 		FPort:   1,
 		Payload: []byte{9, 9, 9},
 	}
-	return f.Marshal([]byte("k"))
+	return f.Marshal(lorawan.NewMICKey([]byte("k")))
 }
 
 func TestMinerSellsPacket(t *testing.T) {
@@ -239,7 +239,7 @@ func TestMinerRejectsGarbageAndDownlinks(t *testing.T) {
 	}
 	// A downlink frame must be refused.
 	f := &lorawan.Frame{MType: lorawan.UnconfirmedDataDown, DevAddr: 1}
-	if _, _, err := m.HandleUplink(f.Marshal([]byte("k"))); err == nil {
+	if _, _, err := m.HandleUplink(f.Marshal(lorawan.NewMICKey([]byte("k")))); err == nil {
 		t.Fatal("downlink frame accepted as uplink")
 	}
 }

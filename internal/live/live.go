@@ -239,9 +239,12 @@ func (st *Study) pocWeight() float64 {
 }
 
 // Snapshot materializes every view at the study's current height. The
-// result shares no mutable state with the study, which keeps folding;
-// cost is O(hotspots + owners + closes), independent of chain length
-// scans.
+// result shares no mutable state with the study, which keeps folding.
+// It costs one in-place walk of the replica ledger's hotspots and one
+// pass over the state-channel closes, sliding the spike detector's
+// sorted 300-close window one close per step: O(hotspots + closes ·
+// window), with no chain scan. It holds the study's lock throughout,
+// so ApplyBlock waits for it.
 func (st *Study) Snapshot() Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()

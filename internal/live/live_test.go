@@ -10,6 +10,7 @@ package live_test
 import (
 	"path/filepath"
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -336,5 +337,34 @@ func TestLiveStudyAdoptsPoCInterval(t *testing.T) {
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestSnapshotBytesPerHotspot bounds the heap a Snapshot allocates per
+// registered hotspot on a full SmallWorld. The ownership walk reads
+// the ledger's records in place and the spike baseline slides one
+// sorted window, so a snapshot copies the per-close series once and
+// the hotspot records not at all: ~220 bytes per hotspot, against
+// ~560 when the walk deep-copied and sorted every record.
+func TestSnapshotBytesPerHotspot(t *testing.T) {
+	w := smallWorld(t, simnet.TestConfig(1).Days, 1)
+	md := core.FromSimulation(w)
+	st := live.New(live.Options{Meta: md.Meta, PoCWeight: md.PoCWeight})
+	for _, b := range w.Chain.Blocks() {
+		st.ApplyBlock(b)
+	}
+	const runs = 5
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	var sn live.Snapshot
+	for i := 0; i < runs; i++ {
+		sn = st.Snapshot()
+	}
+	runtime.ReadMemStats(&after)
+	perHotspot := float64(after.TotalAlloc-before.TotalAlloc) / runs / float64(sn.Ownership.Hotspots)
+	t.Logf("%.0f bytes per hotspot per snapshot (%d hotspots)", perHotspot, sn.Ownership.Hotspots)
+	if perHotspot > 400 {
+		t.Fatalf("snapshot allocates %.0f bytes per hotspot, bound 400", perHotspot)
 	}
 }

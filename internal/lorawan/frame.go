@@ -17,6 +17,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 )
 
 // MType is the LoRaWAN message type carried in the MHDR.
@@ -161,13 +162,27 @@ func fctrlFromByte(b byte) FCtrl {
 	return FCtrl{ADR: b&0x80 != 0, ACK: b&0x20 != 0}
 }
 
-// computeMIC calculates the integrity code with the given key over the
-// serialized frame sans MIC.
-func computeMIC(key []byte, body []byte) [4]byte {
-	mac := hmac.New(sha256.New, key)
-	mac.Write(body)
+// MICKey computes frame integrity codes under one key. The keyed
+// HMAC is built once and reset between frames, so a frame costs one
+// hash and no allocation. A MICKey is not safe for concurrent use:
+// keep one per owner (a device, a router session).
+type MICKey struct {
+	mac hash.Hash
+	sum [sha256.Size]byte
+}
+
+// NewMICKey prepares key for computing MICs.
+func NewMICKey(key []byte) *MICKey {
+	return &MICKey{mac: hmac.New(sha256.New, key)}
+}
+
+// compute returns the integrity code over the serialized frame sans
+// MIC.
+func (k *MICKey) compute(body []byte) [4]byte {
+	k.mac.Reset()
+	k.mac.Write(body)
 	var mic [4]byte
-	copy(mic[:], mac.Sum(nil))
+	copy(mic[:], k.mac.Sum(k.sum[:0]))
 	return mic
 }
 
@@ -180,30 +195,32 @@ var (
 // Marshal serializes the frame and appends a MIC computed with key.
 // For join requests the key is the AppKey; for data frames it is the
 // NwkSKey.
-func (f *Frame) Marshal(key []byte) []byte {
+func (f *Frame) Marshal(key *MICKey) []byte {
 	body := f.marshalBody()
-	mic := computeMIC(key, body)
+	mic := key.compute(body)
 	f.MIC = mic
 	return append(body, mic[:]...)
 }
 
+// marshalBody serializes the frame sans MIC, leaving capacity for
+// Marshal to append the MIC in place.
 func (f *Frame) marshalBody() []byte {
 	switch f.MType {
 	case JoinRequestType:
-		out := make([]byte, 1+8+8+2)
+		out := make([]byte, 1+8+8+2, 1+8+8+2+4)
 		out[0] = byte(f.MType) << 5
 		copy(out[1:9], f.AppEUI[:])
 		copy(out[9:17], f.DevEUI[:])
 		binary.LittleEndian.PutUint16(out[17:19], f.DevNonce)
 		return out
 	case JoinAcceptType:
-		out := make([]byte, 1+4+4)
+		out := make([]byte, 1+4+4, 1+4+4+4)
 		out[0] = byte(f.MType) << 5
 		binary.LittleEndian.PutUint32(out[1:5], f.JoinNonce)
 		binary.LittleEndian.PutUint32(out[5:9], uint32(f.DevAddr))
 		return out
 	default:
-		out := make([]byte, 1+4+1+2+1, 9+1+len(f.Payload))
+		out := make([]byte, 1+4+1+2+1, 9+len(f.Payload)+4)
 		out[0] = byte(f.MType) << 5
 		binary.LittleEndian.PutUint32(out[1:5], uint32(f.DevAddr))
 		out[5] = f.FCtrl.byteVal()
@@ -251,8 +268,8 @@ func Parse(wire []byte) (*Frame, error) {
 
 // Verify checks the frame's MIC against key. The frame must have been
 // produced by Parse or Marshal.
-func (f *Frame) Verify(key []byte) error {
-	want := computeMIC(key, f.marshalBody())
+func (f *Frame) Verify(key *MICKey) error {
+	want := key.compute(f.marshalBody())
 	if !hmac.Equal(want[:], f.MIC[:]) {
 		return ErrBadMIC
 	}

@@ -2,11 +2,14 @@ package lorawan
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
 
-var testKey = []byte("0123456789abcdef")
+var testKey = NewMICKey([]byte("0123456789abcdef"))
 
 func TestJoinRequestRoundTrip(t *testing.T) {
 	f := &Frame{
@@ -75,7 +78,7 @@ func TestMICDetectsTampering(t *testing.T) {
 	}
 	// Wrong key also fails.
 	clean, _ := Parse(f.Marshal(testKey))
-	if err := clean.Verify([]byte("another-key-1234")); err == nil {
+	if err := clean.Verify(NewMICKey([]byte("another-key-1234"))); err == nil {
 		t.Fatal("wrong key verified")
 	}
 }
@@ -171,5 +174,43 @@ func TestEUIString(t *testing.T) {
 func TestRXWindowConstants(t *testing.T) {
 	if RX1DelaySec != 1 || RX2DelaySec != 2 {
 		t.Fatal("receive window constants must match LoRaWAN class A")
+	}
+}
+
+// TestMICKeyMatchesHMAC checks a reused MICKey against a fresh
+// crypto/hmac per body, over random keys and bodies of every length a
+// frame can have, so resetting between frames never leaks state.
+func TestMICKeyMatchesHMAC(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for k := 0; k < 20; k++ {
+		key := make([]byte, 1+rng.Intn(64))
+		rng.Read(key)
+		mk := NewMICKey(key)
+		for i := 0; i < 50; i++ {
+			body := make([]byte, rng.Intn(9+242+1))
+			rng.Read(body)
+			ref := hmac.New(sha256.New, key)
+			ref.Write(body)
+			want := ref.Sum(nil)[:4]
+			if got := mk.compute(body); !bytes.Equal(got[:], want) {
+				t.Fatalf("key %x body %x: MIC %x, want %x", key, body, got, want)
+			}
+		}
+	}
+}
+
+// TestMarshalVerifyAllocs bounds a data frame's Marshal plus Verify:
+// the body buffer of each, with the MIC computed in place. A fresh
+// HMAC per frame costs 15 allocations.
+func TestMarshalVerifyAllocs(t *testing.T) {
+	f := &Frame{MType: ConfirmedDataUp, DevAddr: 1, FCnt: 1, FPort: 1, Payload: make([]byte, 24)}
+	allocs := testing.AllocsPerRun(100, func() {
+		f.Marshal(testKey)
+		if err := f.Verify(testKey); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs > 2 {
+		t.Fatalf("Marshal+Verify = %v allocs, want <= 2", allocs)
 	}
 }

@@ -48,7 +48,7 @@ type Device struct {
 type session struct {
 	dev      *Device
 	devAddr  lorawan.DevAddr
-	keys     lorawan.SessionKeys
+	nwkMIC   *lorawan.MICKey // keyed with the session's NwkSKey; used under Router.mu
 	lastFCnt uint16
 	seenAny  bool
 }
@@ -294,21 +294,23 @@ func (r *Router) handleJoin(f *lorawan.Frame, p statechannel.Purchase) ([]byte, 
 	if !ok || dev.AppEUI != f.AppEUI {
 		return nil, 0
 	}
-	if err := f.Verify(dev.AppKey[:]); err != nil {
+	appMIC := lorawan.NewMICKey(dev.AppKey[:])
+	if err := f.Verify(appMIC); err != nil {
 		return nil, 0
 	}
 	r.nextAddr++
 	addr := lorawan.DevAddr(0x48000000 | r.nextAddr) // Helium NetID prefix flavour
 	joinNonce := uint32(r.rng.Uint64())
+	keys := lorawan.DeriveSessionKeys(dev.AppKey, f.DevNonce, joinNonce)
 	sess := &session{
 		dev:     dev,
 		devAddr: addr,
-		keys:    lorawan.DeriveSessionKeys(dev.AppKey, f.DevNonce, joinNonce),
+		nwkMIC:  lorawan.NewMICKey(keys.NwkSKey[:]),
 	}
 	r.sessions[addr] = sess
 	r.joinsAccepted++
 	accept := &lorawan.Frame{MType: lorawan.JoinAcceptType, JoinNonce: joinNonce, DevAddr: addr}
-	wire := accept.Marshal(dev.AppKey[:])
+	wire := accept.Marshal(appMIC)
 	return wire, r.windowFor(r.latency())
 }
 
@@ -319,7 +321,7 @@ func (r *Router) handleData(f *lorawan.Frame, p statechannel.Purchase) ([]byte, 
 	if !ok {
 		return nil, 0, nil
 	}
-	if err := f.Verify(sess.keys.NwkSKey[:]); err != nil {
+	if err := f.Verify(sess.nwkMIC); err != nil {
 		return nil, 0, nil
 	}
 	// Deliver to the application once per packet (duplicate copies are
@@ -364,7 +366,7 @@ func (r *Router) handleData(f *lorawan.Frame, p statechannel.Purchase) ([]byte, 
 		FCtrl:   lorawan.FCtrl{ACK: true},
 		FCnt:    f.FCnt,
 	}
-	return ack.Marshal(sess.keys.NwkSKey[:]), window, msg
+	return ack.Marshal(sess.nwkMIC), window, msg
 }
 
 // windowFor maps a latency sample to the receive window it can make:

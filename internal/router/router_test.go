@@ -45,7 +45,7 @@ func join(t *testing.T, r *Router) (lorawan.DevAddr, lorawan.SessionKeys) {
 	t.Helper()
 	key := testAppKey()
 	jr := &lorawan.Frame{MType: lorawan.JoinRequestType, AppEUI: appEUI, DevEUI: devEUI, DevNonce: 1}
-	wire := jr.Marshal(key[:])
+	wire := jr.Marshal(lorawan.NewMICKey(key[:]))
 	p, ok := r.OfferPacket(statechannel.Offer{Hotspot: "hs1", PacketID: "join-1", Bytes: len(wire)})
 	if !ok {
 		t.Fatal("join offer rejected")
@@ -58,7 +58,7 @@ func join(t *testing.T, r *Router) (lorawan.DevAddr, lorawan.SessionKeys) {
 	if err != nil || accept.MType != lorawan.JoinAcceptType {
 		t.Fatalf("join accept = %+v, %v", accept, err)
 	}
-	if err := accept.Verify(key[:]); err != nil {
+	if err := accept.Verify(lorawan.NewMICKey(key[:])); err != nil {
 		t.Fatal("join accept MIC invalid")
 	}
 	return accept.DevAddr, lorawan.DeriveSessionKeys(key, 1, accept.JoinNonce)
@@ -70,7 +70,7 @@ func uplink(addr lorawan.DevAddr, keys lorawan.SessionKeys, fcnt uint16, confirm
 		mt = lorawan.ConfirmedDataUp
 	}
 	f := &lorawan.Frame{MType: mt, DevAddr: addr, FCnt: fcnt, FPort: 1, Payload: payload}
-	return f.Marshal(keys.NwkSKey[:])
+	return f.Marshal(lorawan.NewMICKey(keys.NwkSKey[:]))
 }
 
 func TestJoinFlow(t *testing.T) {
@@ -94,12 +94,12 @@ func TestJoinRejectsUnknownDeviceAndBadMIC(t *testing.T) {
 	// Unknown device.
 	jr := &lorawan.Frame{MType: lorawan.JoinRequestType, AppEUI: appEUI, DevEUI: devEUI, DevNonce: 1}
 	p, _ := r.OfferPacket(statechannel.Offer{Hotspot: "h", PacketID: "x", Bytes: 23})
-	if dl, _ := r.ReleasePacket(p, jr.Marshal(key[:])); dl != nil {
+	if dl, _ := r.ReleasePacket(p, jr.Marshal(lorawan.NewMICKey(key[:]))); dl != nil {
 		t.Fatal("unknown device joined")
 	}
 	// Known device, wrong key.
 	r.RegisterDevice(Device{DevEUI: devEUI, AppEUI: appEUI, AppKey: testAppKey(), UserID: "alice"})
-	wire := jr.Marshal([]byte("wrong-key-000000"))
+	wire := jr.Marshal(lorawan.NewMICKey([]byte("wrong-key-000000")))
 	p2, _ := r.OfferPacket(statechannel.Offer{Hotspot: "h", PacketID: "y", Bytes: len(wire)})
 	if dl, _ := r.ReleasePacket(p2, wire); dl != nil {
 		t.Fatal("bad MIC joined")

@@ -154,11 +154,14 @@ type TimeSeries struct {
 // NewTimeSeries returns an empty named series.
 func NewTimeSeries(name string) *TimeSeries { return &TimeSeries{Name: name} }
 
-// Append adds one point. Points may arrive out of order.
+// Append adds one point. Points may arrive out of order; while they
+// arrive in non-decreasing x the series stays sorted, and Sort has
+// nothing to do.
 func (t *TimeSeries) Append(x int64, y float64) {
+	n := len(t.Xs)
+	t.sorted = n == 0 || t.sorted && t.Xs[n-1] <= x
 	t.Xs = append(t.Xs, x)
 	t.Ys = append(t.Ys, y)
-	t.sorted = false
 }
 
 // Len returns the number of points.
@@ -204,7 +207,6 @@ func (t *TimeSeries) Cumulative() *TimeSeries {
 		sum += t.Ys[i]
 		out.Append(t.Xs[i], sum)
 	}
-	out.sorted = true
 	return out
 }
 

@@ -1,6 +1,7 @@
 package stats
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -102,6 +103,37 @@ func TestTimeSeriesSortAndCumulative(t *testing.T) {
 	}
 	if cum.MaxY() != 10 {
 		t.Fatalf("MaxY = %v", cum.MaxY())
+	}
+}
+
+// TestTimeSeriesAppendKeepsSorted: points appended in non-decreasing
+// x (ties included) leave the series sorted, so Sort keeps the very
+// same slices; one point out of order makes Sort reorder, stably.
+func TestTimeSeriesAppendKeepsSorted(t *testing.T) {
+	ts := NewTimeSeries("closes")
+	for i, x := range []int64{1, 2, 2, 5, 5, 5, 9} {
+		ts.Append(x, float64(i))
+	}
+	xs, ys := ts.Xs, ts.Ys
+	ts.Sort()
+	if &ts.Xs[0] != &xs[0] || &ts.Ys[0] != &ys[0] {
+		t.Fatal("Sort copied an in-order series")
+	}
+	if !reflect.DeepEqual(ts.Xs, []int64{1, 2, 2, 5, 5, 5, 9}) ||
+		!reflect.DeepEqual(ts.Ys, []float64{0, 1, 2, 3, 4, 5, 6}) {
+		t.Fatalf("in-order series changed: %v/%v", ts.Xs, ts.Ys)
+	}
+
+	ts.Append(3, 7) // out of order, then more ties
+	ts.Append(3, 8)
+	ts.Append(9, 9)
+	ts.Sort()
+	if !reflect.DeepEqual(ts.Xs, []int64{1, 2, 2, 3, 3, 5, 5, 5, 9, 9}) ||
+		!reflect.DeepEqual(ts.Ys, []float64{0, 1, 2, 7, 8, 3, 4, 5, 6, 9}) {
+		t.Fatalf("sorted = %v/%v, want equal-x points in append order", ts.Xs, ts.Ys)
+	}
+	if c := ts.Clone(); !c.sorted {
+		t.Fatal("Clone of a sorted series is not sorted")
 	}
 }
 

@@ -57,7 +57,7 @@ func BenchmarkMicro_LedgerApplyAddGateway(b *testing.B) {
 }
 
 func BenchmarkMicro_LoRaWANFrameRoundTrip(b *testing.B) {
-	key := []byte("bench-key-123456")
+	key := lorawan.NewMICKey([]byte("bench-key-123456"))
 	f := &lorawan.Frame{
 		MType: lorawan.ConfirmedDataUp, DevAddr: 0x48000001,
 		FCnt: 7, FPort: 1, Payload: make([]byte, 24),
