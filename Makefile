@@ -64,8 +64,8 @@ vet:
 	$(GO) vet ./...
 
 # Repo-invariant static analysis (internal/analysis): fsdiscipline,
-# determinism, txnexhaustive, closecheck, mutexguard, tickerstop. Also
-# runs under `go vet -vettool=bin/peoplesnetlint ./...`.
+# determinism, txnexhaustive, closecheck, mutexguard, tickerstop,
+# goroutinelife, ctxflow, lintallow.
 lint:
 	$(GO) build -o bin/peoplesnetlint ./cmd/peoplesnetlint
 	./bin/peoplesnetlint ./...

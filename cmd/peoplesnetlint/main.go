@@ -1,22 +1,16 @@
 // Command peoplesnetlint runs the repo's custom static-analysis suite
 // (internal/analysis): fsdiscipline, determinism, txnexhaustive,
 // closecheck, mutexguard, tickerstop, goroutinelife, ctxflow, and
-// lintallow. It is a multichecker in two modes:
+// lintallow.
 //
-//	peoplesnetlint ./...                      # standalone over the module
-//	go vet -vettool=$(pwd)/bin/peoplesnetlint ./...   # as a vet tool
+//	peoplesnetlint ./...
 //
-// Standalone mode analyzes the module-internal dependency closure in
-// dependency order through the parallel driver, so the
-// interprocedural passes (goroutinelife, ctxflow, mutexguard) see the
-// facts their dependencies export. In vettool mode it speaks the
-// `go vet` unit-checker protocol (-V=full handshake, -flags, and a
-// JSON .cfg describing one compilation unit with pre-built export
-// data); vet invokes the tool per package with no fact transport, so
-// the interprocedural passes degrade to their lenient intra-package
-// behavior there.
+// It analyzes the module-internal dependency closure in dependency
+// order through the parallel driver, so the interprocedural passes
+// (goroutinelife, ctxflow, mutexguard) see the facts their
+// dependencies export.
 //
-// Flags (standalone mode):
+// Flags:
 //
 //	-list          print the analyzers and what they enforce
 //	-analyzers a,b run a subset
@@ -28,16 +22,10 @@
 package main
 
 import (
-	"crypto/sha256"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"go/ast"
-	"go/importer"
-	"go/parser"
 	"go/token"
-	"go/types"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -57,17 +45,8 @@ func main() {
 		selection    = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
 		jsonOut      = flag.Bool("json", false, "emit findings and suppressions as a JSON report")
 		workers      = flag.Int("workers", 0, "bound analysis parallelism (default GOMAXPROCS)")
-		flagsMode    = flag.Bool("flags", false, "describe flags in JSON (go vet protocol)")
 	)
-	flag.Var(versionFlag{}, "V", "print version and exit (go vet protocol)")
 	flag.Parse()
-
-	if *flagsMode {
-		// No flags are passed through go vet; an empty list keeps the
-		// protocol happy.
-		fmt.Println("[]")
-		return
-	}
 
 	analyzers := analysis.All()
 	if *selection != "" {
@@ -90,12 +69,6 @@ func main() {
 	}
 
 	args := flag.Args()
-
-	// go vet unit-checker mode: a single argument ending in .cfg.
-	if len(args) == 1 && strings.HasSuffix(args[0], ".cfg") {
-		os.Exit(runUnit(args[0], analyzers, log))
-	}
-
 	if len(args) == 0 {
 		args = []string{"./..."}
 	}
@@ -192,158 +165,4 @@ func rel(cwd string, p token.Position) string {
 		p.Filename = r
 	}
 	return p.String()
-}
-
-// --- go vet unit-checker protocol ----------------------------------------
-
-// unitConfig mirrors the JSON config `go vet` writes for each
-// compilation unit (cmd/go/internal/work.vetConfig).
-type unitConfig struct {
-	ID                        string
-	Compiler                  string
-	Dir                       string
-	ImportPath                string
-	GoVersion                 string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	Standard                  map[string]bool
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runUnit analyzes one compilation unit described by a vet .cfg file,
-// type-checking against the export data the go command already built.
-func runUnit(cfgPath string, analyzers []*analysis.Analyzer, log func(string, ...any)) int {
-	data, err := os.ReadFile(cfgPath)
-	if err != nil {
-		log("%v", err)
-		return 2
-	}
-	var cfg unitConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		log("cannot decode vet config %s: %v", cfgPath, err)
-		return 2
-	}
-	// Facts travel only inside the standalone driver's in-memory store;
-	// vet mode runs each unit in isolation and the interprocedural
-	// passes degrade leniently. Publish an empty facts file so the go
-	// command can cache the (empty) result.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte{}, 0o666); err != nil {
-			log("%v", err)
-			return 2
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-
-	fset := token.NewFileSet()
-	var files []*ast.File
-	for _, name := range cfg.GoFiles {
-		if strings.HasSuffix(name, "_test.go") {
-			continue // invariants target the pipeline, not test scaffolding
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			if cfg.SucceedOnTypecheckFailure {
-				return 0
-			}
-			log("%v", err)
-			return 1
-		}
-		files = append(files, f)
-	}
-	if len(files) == 0 {
-		return 0
-	}
-
-	compilerImporter := importer.ForCompiler(fset, cfg.Compiler, func(path string) (io.ReadCloser, error) {
-		file, ok := cfg.PackageFile[path]
-		if !ok {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	imp := importerFunc(func(importPath string) (*types.Package, error) {
-		path, ok := cfg.ImportMap[importPath]
-		if !ok {
-			return nil, fmt.Errorf("can't resolve import %q", importPath)
-		}
-		return compilerImporter.Import(path)
-	})
-
-	info := &types.Info{
-		Types:      make(map[ast.Expr]types.TypeAndValue),
-		Defs:       make(map[*ast.Ident]types.Object),
-		Uses:       make(map[*ast.Ident]types.Object),
-		Implicits:  make(map[ast.Node]types.Object),
-		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Scopes:     make(map[ast.Node]*types.Scope),
-	}
-	tc := types.Config{Importer: imp, GoVersion: cfg.GoVersion}
-	tpkg, err := tc.Check(cfg.ImportPath, fset, files, info)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		log("type-check %s: %v", cfg.ImportPath, err)
-		return 1
-	}
-
-	pkg := &analysis.Package{
-		Path:  cfg.ImportPath,
-		Dir:   cfg.Dir,
-		Fset:  fset,
-		Files: files,
-		Types: tpkg,
-		Info:  info,
-	}
-	res, err := analysis.Run(pkg, analyzers)
-	if err != nil {
-		log("%v", err)
-		return 1
-	}
-	exit := 0
-	for _, d := range res.Diagnostics {
-		fmt.Fprintf(os.Stderr, "%s: %s: %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
-		exit = 1
-	}
-	return exit
-}
-
-type importerFunc func(path string) (*types.Package, error)
-
-func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
-
-// versionFlag implements the -V=full handshake `go vet` uses to build
-// a cache key for the tool: print a content hash of the executable so
-// rebuilding the linter invalidates cached vet results.
-type versionFlag struct{}
-
-func (versionFlag) IsBoolFlag() bool { return true }
-func (versionFlag) String() string   { return "" }
-func (versionFlag) Set(s string) error {
-	if s != "full" {
-		return fmt.Errorf("unsupported: -V=%s (use -V=full)", s)
-	}
-	exe, err := os.Executable()
-	if err != nil {
-		return err
-	}
-	f, err := os.Open(exe)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	h := sha256.New()
-	if _, err := io.Copy(h, f); err != nil {
-		return err
-	}
-	fmt.Printf("%s version devel comments-go-here buildID=%02x\n",
-		filepath.Base(exe), string(h.Sum(nil)))
-	os.Exit(0)
-	return nil
 }

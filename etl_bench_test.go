@@ -13,7 +13,6 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"testing"
 
 	"peoplesnet/internal/chain"
@@ -206,26 +205,8 @@ func BenchmarkETLQuery_AddsPerDay_Fullscan(b *testing.B) {
 	}
 }
 
-// Wallet balance history (§4.3): core.BalanceHistory through the
-// actor posting lists vs through raw chain scans. Rewards dominate a
-// wallet's timeline, so this pair indexes reward entries fully
-// (IndexRewardEntries — the memory-for-speed dial); with the lean
-// default, actor scans still inspect every rewards txn and gain
-// little here.
-func BenchmarkETLQuery_BalanceHistory_Indexed(b *testing.B) {
-	w, _ := world(b)
-	s := etl.New(etl.Config{IndexRewardEntries: true})
-	if err := s.BulkLoad(w.Chain); err != nil {
-		b.Fatal(err)
-	}
-	d := &core.Dataset{Chain: s.View()}
-	owner := w.World.Owners[0].Address
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		d.BalanceHistory(owner)
-	}
-}
-
+// Wallet balance history (§4.3): core.BalanceHistory folds a raw
+// chain scan; against a store view it costs the same plain Scan.
 func BenchmarkETLQuery_BalanceHistory_Fullscan(b *testing.B) {
 	w, _ := world(b)
 	d := &core.Dataset{Chain: w.Chain}
@@ -236,9 +217,7 @@ func BenchmarkETLQuery_BalanceHistory_Fullscan(b *testing.B) {
 	}
 }
 
-// Full-history visit: single-goroutine Scan vs the segment worker
-// pool. Parallelism only pays off above the per-segment dispatch cost,
-// which is what this pair quantifies.
+// Full-history visit through the store's one scan surface.
 func BenchmarkETLScan_Sequential(b *testing.B) {
 	_, s := etlStore(b)
 	b.ResetTimer()
@@ -484,35 +463,6 @@ func BenchmarkStoreReplay_Full(b *testing.B) {
 		}
 		if err := s.Close(); err != nil {
 			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkETLScan_Parallel(b *testing.B) {
-	_, s := etlStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n atomic.Int64
-		s.ScanParallel(etl.All(), etl.Filter{}, 8, func(int64, chain.Txn) bool { n.Add(1); return true })
-		if n.Load() == 0 {
-			b.Fatal("empty scan")
-		}
-	}
-}
-
-// The auto-pick path: workers=0 lets the store estimate matched work
-// from its index counters and available CPUs, falling back to the
-// ordered sequential visit below the crossover. Compare against the
-// _Sequential and _Parallel pins above to verify the heuristic lands
-// on the right side at this scale and CPU count.
-func BenchmarkETLScan_Auto(b *testing.B) {
-	_, s := etlStore(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		var n atomic.Int64
-		s.ScanParallel(etl.All(), etl.Filter{}, 0, func(int64, chain.Txn) bool { n.Add(1); return true })
-		if n.Load() == 0 {
-			b.Fatal("empty scan")
 		}
 	}
 }

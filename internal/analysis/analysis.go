@@ -24,8 +24,8 @@
 //     supervisor and follower loops cannot leak wakeups across restart
 //     cycles.
 //
-// cmd/peoplesnetlint is the driver; it runs standalone over the module
-// or under `go vet -vettool=`.
+// cmd/peoplesnetlint is the driver; it runs over the module through
+// the fact-propagating Driver.
 //
 // A finding can be suppressed — with an audit trail — by a comment on
 // the offending line or the line above:

@@ -89,7 +89,7 @@ func parseAllows(fset *token.FileSet, files []*ast.File, known map[string]bool) 
 }
 
 // Run executes the analyzers over pkg with a fresh, private fact
-// store — the intra-procedural entry point (vet unit mode, one-off
+// store — the intra-procedural entry point (fixture tests, one-off
 // package checks). Interprocedural passes degrade leniently: with no
 // imported facts they only see what this package itself exports.
 func Run(pkg *Package, analyzers []*Analyzer) (Result, error) {

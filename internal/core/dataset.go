@@ -51,14 +51,6 @@ type ChainView interface {
 	ScanTypes(tts []chain.TxnType, fn func(height int64, t chain.Txn) bool)
 }
 
-// ActorScanner is an optional ChainView extension: a view that can
-// enumerate only the transactions mentioning one actor (a hotspot or
-// wallet address). Analyses that walk a single wallet's history use it
-// when available instead of scanning the whole chain.
-type ActorScanner interface {
-	ScanActor(actor string, fn func(height int64, t chain.Txn) bool)
-}
-
 // Dataset bundles everything the analyses consume.
 type Dataset struct {
 	Chain    ChainView

@@ -176,13 +176,7 @@ func classifyOwner(p OwnerProfile) InferredClass {
 func (d *Dataset) BalanceHistory(owner string) *stats.TimeSeries {
 	ts := stats.NewTimeSeries("HNT balance (bones): " + owner)
 	var balance int64
-	// An indexed view walks only the owner's posting list instead of
-	// the whole chain; the switch below filters identically either way.
-	scan := d.Chain.Scan
-	if as, ok := d.Chain.(ActorScanner); ok {
-		scan = func(fn func(height int64, t chain.Txn) bool) { as.ScanActor(owner, fn) }
-	}
-	scan(func(h int64, t chain.Txn) bool {
+	d.Chain.Scan(func(h int64, t chain.Txn) bool {
 		before := balance
 		switch v := t.(type) {
 		case *chain.SecurityCoinbase:

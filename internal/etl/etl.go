@@ -12,8 +12,9 @@
 //   - per-transaction-type posting lists (§3 txn-mix queries, the
 //     Fig 5/7/8 single-type scans),
 //   - per-actor posting lists (hotspot address or wallet → its txn
-//     timeline, the §4.3 balance-history inference),
-//   - a height↔time range index (segment and block granularity).
+//     timeline, the federation's actor queries); rewards, which mint
+//     to thousands of accounts per epoch, sit on one shared list per
+//     segment that actor queries filter by inspecting entries.
 //
 // On top of the segments the store maintains incremental materialized
 // aggregates for the hot analyses (transaction mix, location asserts
@@ -21,11 +22,11 @@
 // repeated query costs O(answer) instead of O(chain), and appending N
 // blocks then re-querying costs O(N).
 //
-// Queries run through Scan (ordered, single goroutine) or
-// ScanParallel (a worker pool over segments); Follow returns a tail
-// that replays history and then streams live blocks. The
-// View adapter satisfies internal/core's ChainView, so every existing
-// analysis resolves through the indexes unchanged.
+// Queries run through Scan, an ordered visit on the caller's
+// goroutine; Follow returns a tail that replays history and then
+// streams live blocks. The View adapter satisfies internal/core's
+// ChainView, so every existing analysis resolves through the indexes
+// unchanged.
 package etl
 
 import (
@@ -39,24 +40,17 @@ import (
 
 // DefaultSegmentBlocks is the seal threshold. Simulated worlds mint
 // one (large) block per simulated day — ~667 blocks for the paper's
-// window — so 64-block segments yield enough units for a worker pool
-// while keeping the linearly-scanned pending buffer small. Real
+// window — so 64-block segments keep the linearly-scanned pending
+// buffer small while each segment stays a cheap unit to load. Real
 // minute-granularity chains would raise this.
 const DefaultSegmentBlocks = 64
 
 // Config parameterizes a Store. The zero value is usable: it means
-// DefaultSegmentBlocks and memory-lean reward indexing.
+// DefaultSegmentBlocks on the host filesystem.
 type Config struct {
 	// SegmentBlocks is how many blocks a segment holds before it is
 	// sealed (and indexed). 0 means DefaultSegmentBlocks.
 	SegmentBlocks int
-	// IndexRewardEntries controls whether rewards transactions are
-	// posted under every entry's account and gateway. A paper-scale
-	// chain mints to tens of thousands of accounts per epoch, so full
-	// reward fan-out costs hundreds of MB; when false (the default),
-	// rewards land on a per-segment shared list and actor queries
-	// filter them by inspecting entries — exact either way.
-	IndexRewardEntries bool
 	// FS is the filesystem a durable store (Open) drives. nil means
 	// the host filesystem; tests inject internal/faultfs here. Memory
 	// stores (New, FromChain) ignore it.
@@ -228,7 +222,7 @@ func (s *Store) Stats() Stats {
 	return st
 }
 
-// SegmentInfo describes one sealed segment for the range index.
+// SegmentInfo describes one sealed segment: its height range and size.
 type SegmentInfo struct {
 	FromHeight int64 `json:"from_height"`
 	ToHeight   int64 `json:"to_height"`

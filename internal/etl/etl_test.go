@@ -3,8 +3,6 @@ package etl
 import (
 	"fmt"
 	"reflect"
-	"runtime"
-	"sort"
 	"sync"
 	"testing"
 	"time"
@@ -196,30 +194,26 @@ func TestScanTypeMatchesChain(t *testing.T) {
 	}
 }
 
+// TestScanActorMatchesChain checks the actor filter — per-actor
+// postings merged with the shared rewards list — against a raw chain
+// scan with the same predicate.
 func TestScanActorMatchesChain(t *testing.T) {
 	c := worldChain(t, 120)
-	for _, indexRewards := range []bool{false, true} {
-		s := New(Config{SegmentBlocks: 16, IndexRewardEntries: indexRewards})
-		if err := s.BulkLoad(c); err != nil {
-			t.Fatal(err)
-		}
-		v := s.View()
-		for _, actor := range []string{"owner-a", "owner-c", "hs-0", "hs-2", "router-1", "nobody"} {
-			var want, got []txnRef
-			c.Scan(func(h int64, t chain.Txn) bool {
-				if mentionsActor(t, actor) {
-					want = append(want, txnRef{h, chain.Hash(t)})
-				}
-				return true
-			})
-			v.ScanActor(actor, func(h int64, t chain.Txn) bool {
-				got = append(got, txnRef{h, chain.Hash(t)})
-				return true
-			})
-			if !reflect.DeepEqual(got, want) {
-				t.Errorf("ScanActor(%s, indexRewards=%v): %d txns, want %d (or order differs)",
-					actor, indexRewards, len(got), len(want))
+	s := New(Config{SegmentBlocks: 16})
+	if err := s.BulkLoad(c); err != nil {
+		t.Fatal(err)
+	}
+	for _, actor := range []string{"owner-a", "owner-c", "hs-0", "hs-2", "router-1", "nobody"} {
+		var want []txnRef
+		c.Scan(func(h int64, t chain.Txn) bool {
+			if mentionsActor(t, actor) {
+				want = append(want, txnRef{h, chain.Hash(t)})
 			}
+			return true
+		})
+		got := collectStore(s, All(), Filter{Actors: []string{actor}})
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Scan(actor %s): %d txns, want %d (or order differs)", actor, len(got), len(want))
 		}
 	}
 }
@@ -260,7 +254,7 @@ func TestScanRangeAndFilters(t *testing.T) {
 	}
 	// A repeated type counts once; a value past every TxnType names no
 	// type, so it adds nothing beside a real one and alone — with or
-	// without actors, sequential or parallel — matches nothing.
+	// without actors — matches nothing.
 	payTwice := Filter{Types: []chain.TxnType{chain.TxnPayment, chain.TxnPayment, 64}}
 	if got, want := count(20, 50, payTwice), count(20, 50, pay); got != want {
 		t.Errorf("payments listed twice plus type 64 in [20,50]: %d, want %d", got, want)
@@ -272,11 +266,6 @@ func TestScanRangeAndFilters(t *testing.T) {
 		if got := count(0, 120, f); got != 0 {
 			t.Errorf("Scan(%+v) matched %d txns, want 0", f, got)
 		}
-		n := 0
-		s.ScanParallel(All(), f, 4, func(int64, chain.Txn) bool { n++; return true })
-		if n != 0 {
-			t.Errorf("ScanParallel(%+v) matched %d txns, want 0", f, n)
-		}
 	}
 
 	// Early stop.
@@ -285,43 +274,6 @@ func TestScanRangeAndFilters(t *testing.T) {
 	if n != 3 {
 		t.Errorf("early stop visited %d txns, want 3", n)
 	}
-}
-
-func TestScanParallelMatchesScan(t *testing.T) {
-	c := worldChain(t, 120)
-	s := New(Config{SegmentBlocks: 16})
-	if err := s.BulkLoad(c); err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range []Filter{
-		{},
-		{Types: []chain.TxnType{chain.TxnPayment, chain.TxnRewards}},
-		{Actors: []string{"hs-1", "owner-b"}},
-	} {
-		want := collectStore(s, Range{10, 100}, f)
-		var mu sync.Mutex
-		var got []txnRef
-		s.ScanParallel(Range{10, 100}, f, 4, func(h int64, t chain.Txn) bool {
-			mu.Lock()
-			got = append(got, txnRef{h, chain.Hash(t)})
-			mu.Unlock()
-			return true
-		})
-		sortRefs(want)
-		sortRefs(got)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("ScanParallel(%+v): %d txns, want %d", f, len(got), len(want))
-		}
-	}
-}
-
-func sortRefs(rs []txnRef) {
-	sort.Slice(rs, func(i, j int) bool {
-		if rs[i].height != rs[j].height {
-			return rs[i].height < rs[j].height
-		}
-		return rs[i].hash < rs[j].hash
-	})
 }
 
 func TestAggregatesMatchRecompute(t *testing.T) {
@@ -400,39 +352,6 @@ func TestAppendRejectsStaleHeight(t *testing.T) {
 	}
 	if err := s.Append(&chain.Block{Height: 3}); err == nil {
 		t.Error("lower height accepted")
-	}
-}
-
-func TestTimeAndHeightIndex(t *testing.T) {
-	c := worldChain(t, 60)
-	s := New(Config{SegmentBlocks: 16})
-	if err := s.BulkLoad(c); err != nil {
-		t.Fatal(err)
-	}
-	for _, h := range []int64{0, 1, 15, 16, 47, 48, 60} {
-		ts, ok := s.TimeAt(h)
-		if !ok {
-			t.Fatalf("TimeAt(%d): not found", h)
-		}
-		if want := c.TimeOf(h); !ts.Equal(want) {
-			t.Errorf("TimeAt(%d) = %v, want %v", h, ts, want)
-		}
-		if got := s.HeightAt(ts); got != h {
-			t.Errorf("HeightAt(TimeAt(%d)) = %d", h, got)
-		}
-		// Midway to the next block still resolves to h.
-		if got := s.HeightAt(ts.Add(30 * time.Second)); got != h {
-			t.Errorf("HeightAt(%d + 30s) = %d", h, got)
-		}
-	}
-	if _, ok := s.TimeAt(61); ok {
-		t.Error("TimeAt beyond tip succeeded")
-	}
-	if got := s.HeightAt(chain.DefaultGenesis.Add(-time.Hour)); got != -1 {
-		t.Errorf("HeightAt before genesis = %d, want -1", got)
-	}
-	if got := s.HeightAt(chain.DefaultGenesis.Add(24 * time.Hour)); got != 60 {
-		t.Errorf("HeightAt far future = %d, want tip 60", got)
 	}
 }
 
@@ -550,12 +469,12 @@ func TestFollowChainLive(t *testing.T) {
 					s.Scan(Range{0, 50}, Filter{Types: []chain.TxnType{chain.TxnPayment}},
 						func(int64, chain.Txn) bool { return true })
 				case 2:
-					s.ScanParallel(All(), Filter{Actors: []string{"owner-a"}}, 4,
+					s.Scan(All(), Filter{Actors: []string{"owner-a"}},
 						func(int64, chain.Txn) bool { return true })
 				case 3:
 					s.Stats()
 					s.Segments()
-					s.TimeAt(s.Height() / 2)
+					s.BlockAt(s.Height() / 2)
 				}
 			}
 		}()
@@ -583,71 +502,5 @@ func TestFollowChainLive(t *testing.T) {
 	// Closing again is a no-op.
 	if err := f.Close(); err != nil {
 		t.Errorf("second Close: %v", err)
-	}
-}
-
-func TestScanParallelAutoPick(t *testing.T) {
-	c := worldChain(t, 60)
-	s := New(Config{SegmentBlocks: 16})
-	if err := s.BulkLoad(c); err != nil {
-		t.Fatal(err)
-	}
-
-	// A store this small is below the crossover, so workers=0 must
-	// take the sequential path — observable through its ordering
-	// guarantee, which the worker pool does not make.
-	var got, want []txnRef
-	s.Scan(All(), Filter{}, func(h int64, tx chain.Txn) bool {
-		want = append(want, txnRef{h, chain.Hash(tx)})
-		return true
-	})
-	s.ScanParallel(All(), Filter{}, 0, func(h int64, tx chain.Txn) bool {
-		got = append(got, txnRef{h, chain.Hash(tx)})
-		return true
-	})
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("auto ScanParallel below crossover is not the ordered sequential visit")
-	}
-
-	if w := autoWorkers(s.sealed, Filter{}); w != 1 {
-		t.Errorf("autoWorkers(small store) = %d, want 1", w)
-	}
-
-	// Many fat segments clear both bars on an unfiltered scan. The
-	// pool is capped by the CPUs actually available — on a single-CPU
-	// process the auto pick never parallelizes, so pin GOMAXPROCS for
-	// the duration to make the expectation machine-independent.
-	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(16))
-	fat := make([]*segment, 12)
-	for i := range fat {
-		fat[i] = &segment{txns: 1 << 16}
-	}
-	if w := autoWorkers(fat, Filter{}); w != 8 {
-		t.Errorf("autoWorkers(fat, unfiltered) = %d, want 8", w)
-	}
-	// A single-CPU process always scans sequentially.
-	runtime.GOMAXPROCS(1)
-	if w := autoWorkers(fat, Filter{}); w != 1 {
-		t.Errorf("autoWorkers(fat, 1 CPU) = %d, want 1", w)
-	}
-	// With a few CPUs the pool is capped at the CPU count.
-	runtime.GOMAXPROCS(4)
-	if w := autoWorkers(fat, Filter{}); w != 4 {
-		t.Errorf("autoWorkers(fat, 4 CPUs) = %d, want 4", w)
-	}
-	runtime.GOMAXPROCS(16)
-	// A narrow actor filter matches almost nothing: sequential.
-	if w := autoWorkers(fat, Filter{Actors: []string{"hs-0"}}); w != 1 {
-		t.Errorf("autoWorkers(fat, narrow actor) = %d, want 1", w)
-	}
-	// A conjunctive filter is bounded by its smaller dimension.
-	for i := range fat {
-		fat[i].byType = map[chain.TxnType]*postings{chain.TxnPayment: {n: 1 << 15}}
-	}
-	if w := autoWorkers(fat, Filter{Types: []chain.TxnType{chain.TxnPayment}, Actors: []string{"hs-0"}}); w != 1 {
-		t.Errorf("autoWorkers(fat, type∧actor) = %d, want 1", w)
-	}
-	if w := autoWorkers(fat, Filter{Types: []chain.TxnType{chain.TxnPayment}}); w != 8 {
-		t.Errorf("autoWorkers(fat, hot type) = %d, want 8", w)
 	}
 }

@@ -58,7 +58,7 @@ func (s *Store) appendLocked(b *chain.Block) error {
 // publishes the segment and shrinks the WAL; publish failures are
 // absorbed (the blocks stay WAL-durable) and retried later.
 func (s *Store) sealLocked() {
-	g := buildSegment(s.pending, s.cfg.IndexRewardEntries)
+	g := buildSegment(s.pending)
 	// The pending blocks were observed at append time, so this
 	// segment's contribution is already in the aggregates.
 	g.aggFolded = true

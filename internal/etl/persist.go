@@ -28,11 +28,11 @@ package etl
 // no sidecar rebuilds the sidecar from its blocks; a WAL still holding
 // blocks that a segment file also covers dedupes them by height.
 //
-// Sidecar versions: v1 stored posting lists as absolute uvarint pairs;
-// v2 stores them delta+varint-compressed (postings.go). A v1 sidecar
-// is upgraded in place — rebuilt from its (unchanged, still-v1-format)
-// segment blocks and republished as v2 — the first time its segment
-// loads. Segment files and the WAL are unversioned by this change.
+// Sidecars carry a codec version (idxCodecVersion). A sidecar of any
+// other version fails to decode like a damaged one, and the segment's
+// first load rebuilds it from the verified blocks and republishes it,
+// so a codec change needs no migration code. Segment files carry their
+// own version (segCodecVersion).
 
 import (
 	"encoding/binary"
@@ -53,9 +53,8 @@ const (
 	segMagic = "PNETLSG1"
 	idxMagic = "PNETLIX1"
 
-	segCodecVersion       = 1
-	idxCodecVersion       = 2
-	idxLegacyCodecVersion = 1
+	segCodecVersion = 1
+	idxCodecVersion = 3
 
 	walFileName = "wal.log"
 	tmpSuffix   = ".tmp"
@@ -84,10 +83,6 @@ var (
 	errFrameTorn    = errors.New("torn frame")
 	errFrameCorrupt = errors.New("corrupt frame")
 )
-
-// errLegacySidecar marks a structurally sound v1 sidecar: not damage,
-// but a format the store upgrades in place by rebuilding from blocks.
-var errLegacySidecar = errors.New("legacy v1 sidecar")
 
 // appendFrame appends one checksummed frame holding payload to dst.
 func appendFrame(dst, payload []byte) []byte {
@@ -167,10 +162,6 @@ type durable struct {
 	fs  FS
 	dir string
 	wal *wal
-	// indexRewards mirrors Config.IndexRewardEntries so lazy loads,
-	// which run without the store in hand, rebuild sidecars under the
-	// right policy. Immutable after Open.
-	indexRewards bool
 
 	// persisted counts the prefix of s.sealed already published as
 	// segment files; segments past it are durable only through the WAL
@@ -178,15 +169,14 @@ type durable struct {
 	// persisted prefix — they exist because their files do.
 	persisted int
 
-	hmu              sync.Mutex
-	persistErr       error  // guarded by hmu; last failed disk sync, retried on the next append
-	quarantined      int    // guarded by hmu
-	sidecarsRebuilt  int    // guarded by hmu; damaged/missing sidecars rebuilt from blocks
-	sidecarsUpgraded int    // guarded by hmu; intact v1 sidecars republished as v2
-	walRecovery      string // guarded by hmu; note from Open: torn/corrupt WAL classification
-	gaps             []Gap  // guarded by hmu
-	ckptHeight       int64  // guarded by hmu; ledger checkpoint height in use, -1 none
-	ckptNote         string // guarded by hmu; how the last ReplayLedger used the checkpoint
+	hmu             sync.Mutex
+	persistErr      error  // guarded by hmu; last failed disk sync, retried on the next append
+	quarantined     int    // guarded by hmu
+	sidecarsRebuilt int    // guarded by hmu; missing, damaged or other-version sidecars rebuilt from blocks
+	walRecovery     string // guarded by hmu; note from Open: torn/corrupt WAL classification
+	gaps            []Gap  // guarded by hmu
+	ckptHeight      int64  // guarded by hmu; ledger checkpoint height in use, -1 none
+	ckptNote        string // guarded by hmu; how the last ReplayLedger used the checkpoint
 }
 
 // setPersistErr records (or clears) the last persistence failure.
@@ -230,15 +220,10 @@ func insertGap(gaps []Gap, g Gap) []Gap {
 	return gaps
 }
 
-// noteSidecarRebuild counts a sidecar reconstruction; upgraded
-// distinguishes an intact legacy sidecar from a damaged one.
-func (d *durable) noteSidecarRebuild(upgraded bool) {
+// noteSidecarRebuild counts a sidecar reconstruction.
+func (d *durable) noteSidecarRebuild() {
 	d.hmu.Lock()
-	if upgraded {
-		d.sidecarsUpgraded++
-	} else {
-		d.sidecarsRebuilt++
-	}
+	d.sidecarsRebuilt++
 	d.hmu.Unlock()
 }
 
@@ -288,13 +273,12 @@ type Health struct {
 	PendingBlocks int    `json:"pending_blocks"`
 	// SegmentsLoaded counts segments materialized in memory; a lazily
 	// opened store starts at 0 and climbs as queries touch segments.
-	SegmentsLoaded   int   `json:"segments_loaded"`
-	WALDepth         int   `json:"wal_depth"`
-	WALBytes         int64 `json:"wal_bytes"`
-	Quarantined      int   `json:"quarantined"`
-	SidecarsRebuilt  int   `json:"sidecars_rebuilt"`
-	SidecarsUpgraded int   `json:"sidecars_upgraded,omitempty"`
-	Gaps             []Gap `json:"gaps,omitempty"`
+	SegmentsLoaded  int   `json:"segments_loaded"`
+	WALDepth        int   `json:"wal_depth"`
+	WALBytes        int64 `json:"wal_bytes"`
+	Quarantined     int   `json:"quarantined"`
+	SidecarsRebuilt int   `json:"sidecars_rebuilt"`
+	Gaps            []Gap `json:"gaps,omitempty"`
 	// IngestRetries counts transient persist faults the store's feeder
 	// retried (cumulative); a climbing value on a "healthy" store is a
 	// flapping disk.
@@ -346,7 +330,6 @@ func (d *durable) fillHealth(h *Health) {
 	defer d.hmu.Unlock()
 	h.Quarantined = d.quarantined
 	h.SidecarsRebuilt = d.sidecarsRebuilt
-	h.SidecarsUpgraded = d.sidecarsUpgraded
 	h.Gaps = append([]Gap(nil), d.gaps...)
 	h.WALRecovery = d.walRecovery
 	h.CheckpointHeight = d.ckptHeight
@@ -563,15 +546,12 @@ func decodePostings(r *wire.Reader, blocks []*chain.Block, typed bool, tt chain.
 // encodeIdxFile serializes a segment's sidecar: indexes plus aggregate
 // contribution. Map iteration order is pinned by sorting keys, so the
 // same segment always writes identical bytes.
-func encodeIdxFile(g *segment, c *segAgg, indexRewards bool) []byte {
+func encodeIdxFile(g *segment, c *segAgg) []byte {
 	var w wire.Writer
 	w.U8(idxCodecVersion)
-	w.Bool(indexRewards)
 	w.Varint(g.from)
 	w.Varint(g.to)
 	w.Varint(g.txns)
-	w.Varint(g.fromTime.UnixNano())
-	w.Varint(g.toTime.UnixNano())
 
 	mixKeys := make([]int, 0, len(g.mix))
 	for tt := range g.mix {
@@ -649,9 +629,8 @@ func writeStrCounts(w *wire.Writer, m map[string]int64) {
 // contribution from its sidecar. blocks are the already-verified
 // segment blocks; every posting list is validated against them. An
 // error here never quarantines anything — the caller falls back to
-// rebuilding the sidecar from the blocks (errLegacySidecar marks the
-// intact-v1 upgrade case specifically).
-func decodeIdxFile(data []byte, blocks []*chain.Block, wantRewards bool) (*segment, *segAgg, error) {
+// rebuilding the sidecar from the blocks.
+func decodeIdxFile(data []byte, blocks []*chain.Block) (*segment, *segAgg, error) {
 	if len(data) < len(idxMagic) || string(data[:len(idxMagic)]) != idxMagic {
 		return nil, nil, errors.New("bad sidecar magic")
 	}
@@ -664,15 +643,7 @@ func decodeIdxFile(data []byte, blocks []*chain.Block, wantRewards bool) (*segme
 	}
 	r := wire.NewReader(payload)
 	if v := r.U8(); r.Err() == nil && v != idxCodecVersion {
-		if v == idxLegacyCodecVersion {
-			return nil, nil, errLegacySidecar
-		}
 		return nil, nil, fmt.Errorf("unknown sidecar version %d", v)
-	}
-	if rewards := r.Bool(); r.Err() == nil && rewards != wantRewards {
-		// Built under a different reward-indexing policy: the postings
-		// would be shaped wrong for this Config. Rebuild.
-		return nil, nil, errors.New("sidecar reward-indexing policy differs")
 	}
 	g := &segment{
 		blocks:  blocks,
@@ -683,8 +654,6 @@ func decodeIdxFile(data []byte, blocks []*chain.Block, wantRewards bool) (*segme
 	g.from = r.Varint()
 	g.to = r.Varint()
 	g.txns = r.Varint()
-	g.fromTime = time.Unix(0, r.Varint()).UTC()
-	g.toTime = time.Unix(0, r.Varint()).UTC()
 	if r.Err() == nil &&
 		(g.from != blocks[0].Height || g.to != blocks[len(blocks)-1].Height) {
 		return nil, nil, fmt.Errorf("sidecar range [%d,%d] disagrees with blocks", g.from, g.to)
@@ -756,7 +725,7 @@ func (s *Store) syncDiskLocked() error {
 	d := s.dur
 	for d.persisted < len(s.sealed) {
 		g := s.sealed[d.persisted]
-		if err := d.writeSegment(g, s.cfg.IndexRewardEntries); err != nil {
+		if err := d.writeSegment(g); err != nil {
 			return &PersistError{Op: "segment " + segFileName(g.from, g.to), Err: err}
 		}
 		d.persisted++
@@ -770,13 +739,13 @@ func (s *Store) syncDiskLocked() error {
 
 // writeSegment publishes one sealed segment: blocks first, sidecar
 // second, so a crash between the two leaves a rebuildable state.
-func (d *durable) writeSegment(g *segment, indexRewards bool) error {
+func (d *durable) writeSegment(g *segment) error {
 	name := segFileName(g.from, g.to)
 	if err := writeFileAtomic(d.fs, join(d.dir, name), encodeSegFile(g)); err != nil {
 		return err
 	}
 	c := computeSegAgg(g.blocks)
-	return writeFileAtomic(d.fs, join(d.dir, idxFileName(name)), encodeIdxFile(g, c, indexRewards))
+	return writeFileAtomic(d.fs, join(d.dir, idxFileName(name)), encodeIdxFile(g, c))
 }
 
 // durAppendLocked makes b durable before the in-memory ingest accepts

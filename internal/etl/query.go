@@ -6,8 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"peoplesnet/internal/chain"
 )
@@ -78,176 +76,8 @@ func (s *Store) Scan(r Range, f Filter, fn func(height int64, t chain.Txn) bool)
 	scanBlocks(pending, r.From, to, f, mask, fn)
 }
 
-// ScanParallel runs the same visit as Scan but fans segments out to a
-// worker pool. fn must be safe for concurrent calls and observes no
-// ordering; an fn returning false stops the scan (best effort across
-// workers).
-//
-// workers <= 0 auto-picks: the posting lists and segment counters
-// estimate how many transactions the filter will actually match, and
-// a scan below the dispatch crossover (few segments, or little
-// matched work — see EXPERIMENTS.md "Parallel scan") runs
-// sequentially instead of paying per-segment dispatch. Callers should
-// pass 0 unless they have measured a better choice.
-func (s *Store) ScanParallel(r Range, f Filter, workers int, fn func(height int64, t chain.Txn) bool) {
-	sealed, pending := s.view()
-	to := r.To
-	if to < 0 {
-		to = math.MaxInt64
-	}
-	mask, ok := f.typeMask()
-	if !ok {
-		return
-	}
-	var overlapping []*segment
-	for _, g := range sealed {
-		if g.overlaps(r.From, to) {
-			overlapping = append(overlapping, g)
-		}
-	}
-	if workers <= 0 {
-		// The auto pick reads index counters, which live in segment
-		// sidecars — materialize overlapping stubs first (in parallel;
-		// on a cold store these loads dominate the scan anyway).
-		preloadSegments(overlapping)
-		workers = autoWorkers(overlapping, f)
-		if workers <= 1 {
-			// Below the crossover the ordered sequential visit is
-			// strictly better: faster and deterministic.
-			s.Scan(r, f, fn)
-			return
-		}
-	}
-	var units []func(visit func(int64, chain.Txn) bool) bool
-	for _, g := range overlapping {
-		g := g
-		units = append(units, func(visit func(int64, chain.Txn) bool) bool {
-			return scanSegment(g, r.From, to, f, mask, visit)
-		})
-	}
-	if len(pending) > 0 {
-		units = append(units, func(visit func(int64, chain.Txn) bool) bool {
-			return scanBlocks(pending, r.From, to, f, mask, visit)
-		})
-	}
-	if workers > len(units) {
-		workers = len(units)
-	}
-	if len(units) == 0 {
-		return
-	}
-	var stopped atomic.Bool
-	visit := func(h int64, t chain.Txn) bool {
-		if stopped.Load() {
-			return false
-		}
-		if !fn(h, t) {
-			stopped.Store(true)
-			return false
-		}
-		return true
-	}
-	jobs := make(chan func(func(int64, chain.Txn) bool) bool)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for u := range jobs {
-				if stopped.Load() {
-					continue
-				}
-				u(visit)
-			}
-		}()
-	}
-	for _, u := range units {
-		jobs <- u
-	}
-	close(jobs)
-	wg.Wait()
-}
-
-// The parallel crossover. Measured at 1/20 paper scale (EXPERIMENTS.md
-// "Parallel scan"), a full sequential visit of ~31k txns beats the
-// 8-worker pool ~3×: per-segment dispatch overhead needs enough
-// matched transactions per segment to amortize. Paper scale (~20×)
-// clears both bars on unfiltered and type-filtered scans; narrow
-// actor queries stay sequential at any scale, which is also right —
-// their posting lists are short.
-const (
-	scanParallelMinSegments = 4
-	scanParallelMinTxns     = 1 << 18
-	scanParallelMaxWorkers  = 8
-)
-
-// autoWorkers sizes the pool from the work the filter will actually
-// match, estimated from index counters without touching any block, and
-// from the CPUs actually available: on a single-CPU process the pool
-// only adds dispatch and contention on top of the same serial work, so
-// the auto pick never parallelizes there (EXPERIMENTS.md "Parallel
-// scan", 1-core row).
-func autoWorkers(segs []*segment, f Filter) int {
-	procs := runtime.GOMAXPROCS(0)
-	if procs < 2 || len(segs) < scanParallelMinSegments {
-		return 1
-	}
-	var est int64
-	for _, g := range segs {
-		est += estimateMatched(g, f)
-	}
-	if est < scanParallelMinTxns {
-		return 1
-	}
-	w := len(segs)
-	if w > procs {
-		w = procs
-	}
-	if w > scanParallelMaxWorkers {
-		w = scanParallelMaxWorkers
-	}
-	return w
-}
-
-// estimateMatched bounds how many of g's transactions the filter can
-// match. Conjunctive filters take the smaller dimension. Unloaded or
-// broken segments estimate zero — callers preload before estimating.
-func estimateMatched(g *segment, f Filter) int64 {
-	if !g.loaded() || g.broken() {
-		return 0
-	}
-	if f.empty() {
-		return g.txns
-	}
-	byType, byActor := int64(-1), int64(-1)
-	if len(f.Types) > 0 {
-		byType = 0
-		for _, tt := range f.Types {
-			if ps := g.byType[tt]; ps != nil {
-				byType += int64(ps.n)
-			}
-		}
-	}
-	if len(f.Actors) > 0 {
-		byActor = 0
-		if g.shared != nil {
-			byActor = int64(g.shared.n)
-		}
-		for _, a := range f.Actors {
-			if ps := g.byActor[a]; ps != nil {
-				byActor += int64(ps.n)
-			}
-		}
-	}
-	switch {
-	case byType < 0:
-		return byActor
-	case byActor < 0 || byType < byActor:
-		return byType
-	default:
-		return byActor
-	}
-}
+// preloadWorkers caps preloadSegments' pool of concurrent stub loads.
+const preloadWorkers = 8
 
 // preloadSegments materializes every unloaded stub in segs, fanning
 // the file loads out to a small pool. Loads are independent (each owns
@@ -261,8 +91,8 @@ func preloadSegments(segs []*segment) {
 		}
 	}
 	workers := runtime.GOMAXPROCS(0)
-	if workers > scanParallelMaxWorkers {
-		workers = scanParallelMaxWorkers
+	if workers > preloadWorkers {
+		workers = preloadWorkers
 	}
 	if workers > len(stubs) {
 		workers = len(stubs)
@@ -403,61 +233,6 @@ func mentionsAny(t chain.Txn, actors []string) bool {
 		}
 	}
 	return false
-}
-
-// --- height ↔ time range index -------------------------------------------
-
-// TimeAt returns the timestamp of the first block at or after height.
-// Only the segment covering the height loads (plus successors while
-// broken segments are skipped).
-func (s *Store) TimeAt(height int64) (time.Time, bool) {
-	sealed, pending := s.view()
-	i := sort.Search(len(sealed), func(i int) bool { return sealed[i].to >= height })
-	for ; i < len(sealed); i++ {
-		if !sealed[i].load() {
-			continue // broken: the next segment holds the next block
-		}
-		blks := sealed[i].blocks
-		j := sort.Search(len(blks), func(j int) bool { return blks[j].Height >= height })
-		if j < len(blks) {
-			return blks[j].Timestamp, true
-		}
-	}
-	j := sort.Search(len(pending), func(j int) bool { return pending[j].Height >= height })
-	if j < len(pending) {
-		return pending[j].Timestamp, true
-	}
-	return time.Time{}, false
-}
-
-// HeightAt returns the height of the last block with a timestamp at
-// or before t (-1 if the store starts later). The binary search loads
-// the O(log segments) stubs it probes.
-func (s *Store) HeightAt(t time.Time) int64 {
-	sealed, pending := s.view()
-	best := int64(-1)
-	// Last segment that starts at or before t. A probe that fails to
-	// load sorts as "starts early" — it matches nothing below anyway.
-	i := sort.Search(len(sealed), func(i int) bool {
-		return sealed[i].load() && sealed[i].fromTime.After(t)
-	})
-	// Walk back past broken segments to the last one with blocks ≤ t.
-	for j := i - 1; j >= 0; j-- {
-		if !sealed[j].load() {
-			continue
-		}
-		blks := sealed[j].blocks
-		k := sort.Search(len(blks), func(k int) bool { return blks[k].Timestamp.After(t) })
-		if k > 0 {
-			best = blks[k-1].Height
-		}
-		break
-	}
-	j := sort.Search(len(pending), func(j int) bool { return pending[j].Timestamp.After(t) })
-	if j > 0 && pending[j-1].Height > best {
-		best = pending[j-1].Height
-	}
-	return best
 }
 
 // --- tail subscription ----------------------------------------------------

@@ -16,7 +16,6 @@ package etl
 // until Repair sweeps it out and closes the gap from a source chain.
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -46,11 +45,10 @@ func Open(dir string, cfg Config) (*Store, error) {
 
 	s := New(cfg)
 	d := &durable{
-		fs:           fsys,
-		dir:          dir,
-		wal:          newWAL(fsys, join(dir, walFileName)),
-		indexRewards: s.cfg.IndexRewardEntries,
-		ckptHeight:   -1,
+		fs:         fsys,
+		dir:        dir,
+		wal:        newWAL(fsys, join(dir, walFileName)),
+		ckptHeight: -1,
 	}
 	s.dur = d
 
@@ -152,31 +150,27 @@ func (d *durable) loadLazy(g *segment) bool {
 
 // fillSegment completes a stub from its verified blocks: sidecar
 // indexes when the sidecar is sound, otherwise a rebuild from the
-// blocks (republishing the sidecar — also how a v1 sidecar upgrades to
-// the compressed v2 format in place).
+// blocks that republishes the sidecar. A missing, damaged or
+// other-version sidecar all take the rebuild.
 func (d *durable) fillSegment(g *segment, name string, blocks []*chain.Block) {
-	upgraded := false
 	if idx, err := d.fs.ReadFile(join(d.dir, idxFileName(name))); err == nil {
-		dec, c, derr := decodeIdxFile(idx, blocks, d.indexRewards)
-		if derr == nil {
+		if dec, c, derr := decodeIdxFile(idx, blocks); derr == nil {
 			adoptSegment(g, dec, c)
 			return
 		}
-		upgraded = errors.Is(derr, errLegacySidecar)
 	}
-	built := buildSegment(blocks, d.indexRewards)
+	built := buildSegment(blocks)
 	c := computeSegAgg(blocks)
 	adoptSegment(g, built, c)
-	d.noteSidecarRebuild(upgraded)
+	d.noteSidecarRebuild()
 	d.fs.Remove(join(d.dir, idxFileName(name))) // best effort
-	writeFileAtomic(d.fs, join(d.dir, idxFileName(name)), encodeIdxFile(built, c, d.indexRewards))
+	writeFileAtomic(d.fs, join(d.dir, idxFileName(name)), encodeIdxFile(built, c))
 }
 
 // adoptSegment copies src's load-derived fields into the stub g. The
 // writes happen inside the stub's Once, before done publishes them.
 func adoptSegment(g, src *segment, c *segAgg) {
 	g.blocks = src.blocks
-	g.fromTime, g.toTime = src.fromTime, src.toTime
 	g.txns = src.txns
 	g.mix = src.mix
 	g.byType = src.byType
@@ -307,9 +301,9 @@ func (s *Store) repairRunLocked(blocks []*chain.Block) error {
 		}
 		return nil
 	}
-	g := buildSegment(blocks, s.cfg.IndexRewardEntries)
+	g := buildSegment(blocks)
 	g.aggFolded = true // folded right below; born materialized
-	if err := s.dur.writeSegment(g, s.cfg.IndexRewardEntries); err != nil {
+	if err := s.dur.writeSegment(g); err != nil {
 		return &PersistError{Op: "repair segment " + segFileName(g.from, g.to), Err: err}
 	}
 	i := sort.Search(len(s.sealed), func(i int) bool { return s.sealed[i].from > g.from })

@@ -3,7 +3,6 @@ package etl
 import (
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"peoplesnet/internal/chain"
 )
@@ -32,15 +31,16 @@ type segment struct {
 	// valid. After load() returns true they are valid and immutable.
 	lazy *lazyState
 
-	blocks           []*chain.Block
-	fromTime, toTime time.Time
-	txns             int64
-	mix              map[chain.TxnType]int64
-	byType           map[chain.TxnType]*postings
-	byActor          map[string]*postings
-	// shared holds postings of transactions whose actor fan-out was
-	// suppressed (rewards when Config.IndexRewardEntries is false).
-	// Actor queries merge it in and filter by inspecting entries.
+	blocks  []*chain.Block
+	txns    int64
+	mix     map[chain.TxnType]int64
+	byType  map[chain.TxnType]*postings
+	byActor map[string]*postings
+	// shared holds the segment's rewards transactions, whose actor
+	// fan-out is suppressed: a paper-scale chain mints to tens of
+	// thousands of accounts per epoch, so posting every entry would
+	// cost hundreds of MB. Actor queries merge the list in and keep
+	// only the rewards whose entries mention a queried actor.
 	shared *postings
 	// agg is the segment's aggregate contribution, decoded from the
 	// sidecar (or rebuilt) at load; nil for in-memory segments, whose
@@ -88,17 +88,15 @@ func (g *segment) broken() bool {
 	return g.lazy != nil && g.lazy.done.Load() && g.lazy.failed
 }
 
-func buildSegment(blocks []*chain.Block, indexRewards bool) *segment {
+func buildSegment(blocks []*chain.Block) *segment {
 	g := &segment{
-		blocks:   blocks,
-		from:     blocks[0].Height,
-		to:       blocks[len(blocks)-1].Height,
-		fromTime: blocks[0].Timestamp,
-		toTime:   blocks[len(blocks)-1].Timestamp,
-		mix:      make(map[chain.TxnType]int64),
-		byType:   make(map[chain.TxnType]*postings),
-		byActor:  make(map[string]*postings),
-		shared:   &postings{typed: true},
+		blocks:  blocks,
+		from:    blocks[0].Height,
+		to:      blocks[len(blocks)-1].Height,
+		mix:     make(map[chain.TxnType]int64),
+		byType:  make(map[chain.TxnType]*postings),
+		byActor: make(map[string]*postings),
+		shared:  &postings{typed: true},
 	}
 	var seen []string // per-txn dedupe scratch
 	for bi, b := range blocks {
@@ -113,7 +111,7 @@ func buildSegment(blocks []*chain.Block, indexRewards bool) *segment {
 				g.byType[tt] = tp
 			}
 			tp.add(bi32, ti32, tt)
-			if tt == chain.TxnRewards && !indexRewards {
+			if tt == chain.TxnRewards {
 				g.shared.add(bi32, ti32, tt)
 				continue
 			}

@@ -48,9 +48,9 @@ func (s *Store) Ledger() *chain.Ledger {
 	return s.ledger
 }
 
-// View adapts the store to internal/core's ChainView (and
-// ActorScanner), so a core.Dataset can run every existing analysis
-// against the indexes instead of a raw chain.
+// View adapts the store to internal/core's ChainView, so a
+// core.Dataset can run every existing analysis against the indexes
+// instead of a raw chain.
 type View struct {
 	s *Store
 }
@@ -80,10 +80,4 @@ func (v *View) ScanType(tt chain.TxnType, fn func(height int64, t chain.Txn) boo
 // order.
 func (v *View) ScanTypes(tts []chain.TxnType, fn func(height int64, t chain.Txn) bool) {
 	v.s.Scan(All(), Filter{Types: append([]chain.TxnType(nil), tts...)}, fn)
-}
-
-// ScanActor visits transactions mentioning the actor via its posting
-// lists — the fast path behind core.BalanceHistory.
-func (v *View) ScanActor(actor string, fn func(height int64, t chain.Txn) bool) {
-	v.s.Scan(All(), Filter{Actors: []string{actor}}, fn)
 }

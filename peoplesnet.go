@@ -69,6 +69,12 @@ type Study struct {
 	ISPs      core.ISPAnalysis
 	Relays    core.RelayAnalysis
 	Audit     core.IncentiveAudit
+
+	// LedgerErr is the ledger replay failure MeasureStoreWith met on a
+	// store that had no ledger attached; nil when the ledger was there
+	// or replayed cleanly. When set, the ledger-derived analyses ran
+	// against an empty ledger and are not to be trusted.
+	LedgerErr error
 }
 
 // MeasureOptions carries the analysis cutoffs shared by the batch and
@@ -98,15 +104,16 @@ func MeasureStore(s *etl.Store, w *World) *Study {
 
 // MeasureStoreWith is MeasureStore with explicit analysis cutoffs.
 // Opts.PoCWeight supplies the sampling weight a nil world cannot; if
-// the store's ledger is missing and cannot be replayed (damaged
-// segments), the ledger-derived analyses degrade to empty and the
-// store's Health says why.
+// the store's ledger is missing and cannot be replayed, the
+// ledger-derived analyses degrade to empty and Study.LedgerErr says
+// why.
 func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 	opts = opts.Normalized()
+	var ledgerErr error
 	if s.Ledger() == nil {
 		l, err := s.ReplayLedger()
 		if err != nil {
-			l = chain.NewLedger()
+			l, ledgerErr = chain.NewLedger(), err
 		}
 		s.SetLedger(l)
 	}
@@ -132,6 +139,7 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 		Routers:   d.AnalyzeRouters(),
 		ISPs:      d.AnalyzeISPs(opts.ISPTopN),
 		Audit:     d.AuditIncentives(1, 100),
+		LedgerErr: ledgerErr,
 	}
 	if w != nil {
 		// The relay analyses need the world's p2p swarm and seed.

@@ -1,8 +1,12 @@
 package peoplesnet
 
 import (
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
+
+	"peoplesnet/internal/etl"
 )
 
 func TestSimulateMeasureRender(t *testing.T) {
@@ -60,5 +64,48 @@ func TestRunFieldFacade(t *testing.T) {
 	}
 	if res.Sent == 0 || res.PRR() <= 0 {
 		t.Fatalf("field experiment empty: %+v", res)
+	}
+}
+
+// TestMeasureStoreReportsLedgerErr: a durable store reopened without
+// its ledger checkpoint replays the ledger from its blocks. A SmallWorld
+// chain is built under a one-block PoC interval the replay ledger does
+// not know, so the replay fails; MeasureStore must say so through
+// LedgerErr, naming the failing block, instead of measuring an empty
+// ledger silently.
+func TestMeasureStoreReportsLedgerErr(t *testing.T) {
+	w, err := Simulate(SmallWorld(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := filepath.Join(t.TempDir(), "store")
+	s, err := etl.Open(dir, etl.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BulkLoad(w.Chain); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(filepath.Join(dir, "ledger.ckpt")); err != nil && !os.IsNotExist(err) {
+		t.Fatal(err)
+	}
+
+	s2, err := etl.Open(dir, etl.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	st := MeasureStore(s2, nil)
+	if st.LedgerErr == nil {
+		t.Fatal("failed ledger replay left LedgerErr nil")
+	}
+	if !strings.Contains(st.LedgerErr.Error(), "replay block ") {
+		t.Errorf("LedgerErr %q does not name the failing block", st.LedgerErr)
+	}
+	if fresh := MeasureStore(etl.FromChain(w.Chain), nil); fresh.LedgerErr != nil {
+		t.Errorf("store with the chain's ledger attached: LedgerErr %v", fresh.LedgerErr)
 	}
 }
