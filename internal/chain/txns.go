@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"math"
+	"sync"
 
 	"peoplesnet/internal/h3lite"
 	"peoplesnet/internal/wire"
@@ -28,14 +29,21 @@ type Txn interface {
 // hashes the type tag plus the binary wire encoding — injective per
 // variant (length-prefixed strings, fixed-width numbers), and an order
 // of magnitude cheaper than marshalling JSON, which matters because
-// every generated transaction is hashed once for its block hash.
+// every generated transaction is hashed once for its block hash. The
+// encode buffer comes from hashBufs, so hashing a rewards transaction
+// does not regrow a fresh buffer to hundreds of KB each time.
 func Hash(t Txn) string {
-	w := wire.Writer{Buf: make([]byte, 0, 256)}
+	w := hashBufs.Get().(*wire.Writer)
+	w.Buf = w.Buf[:0]
 	w.U8(uint8(t.TxnType()))
-	encodeTxn(&w, t)
+	encodeTxn(w, t)
 	sum := sha256.Sum256(w.Buf)
+	hashBufs.Put(w)
 	return hex.EncodeToString(sum[:16])
 }
+
+// hashBufs pools Hash's encode buffers.
+var hashBufs = sync.Pool{New: func() any { return &wire.Writer{Buf: make([]byte, 0, 256)} }}
 
 // AddGateway registers a new hotspot (§3). Gateway and Owner are
 // chainkey addresses; Location may be InvalidCell when the hotspot is

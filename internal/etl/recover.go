@@ -391,6 +391,14 @@ func (s *Store) ReplayLedger() (*chain.Ledger, error) {
 		}
 		return true
 	}
+	// failed records the failed apply in the health note, so the store
+	// itself says its ledger replay broke and at which block.
+	failed := func() (*chain.Ledger, error) {
+		if d != nil {
+			d.setCheckpoint(ckptUsed, note+"; replay failed: "+firstErr.Error())
+		}
+		return nil, firstErr
+	}
 
 	sealed, pending := s.view()
 	healthy := true
@@ -411,7 +419,7 @@ func (s *Store) ReplayLedger() (*chain.Ledger, error) {
 				continue
 			}
 			if !apply(b) {
-				return nil, firstErr
+				return failed()
 			}
 		}
 		lastSealed = g.to
@@ -439,7 +447,7 @@ func (s *Store) ReplayLedger() (*chain.Ledger, error) {
 			continue
 		}
 		if !apply(b) {
-			return nil, firstErr
+			return failed()
 		}
 	}
 	s.SetLedger(l)

@@ -10,9 +10,9 @@ import (
 )
 
 // benchCluster shares caught-up clusters across benchmark iterations.
-func benchCluster(b *testing.B, c *chain.Chain, part Partition) *Cluster {
+func benchCluster(b *testing.B, c *chain.Chain, part Partition, opts Options) *Cluster {
 	b.Helper()
-	cl := FollowChain(c, part, Options{})
+	cl := FollowChain(c, part, opts)
 	b.Cleanup(func() { cl.Close() })
 	if err := cl.WaitHeight(context.Background(), c.Height()); err != nil {
 		b.Fatal(err)
@@ -34,7 +34,7 @@ func benchQuery(b *testing.B, cl *Cluster, q Query) {
 func BenchmarkFedCountFull(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByRegion(n))
+		cl := benchCluster(b, c, ByRegion(n), Options{})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindCount, Range: etl.All(), Filter: etl.Filter{Types: []chain.TxnType{chain.TxnPoCReceipt}}})
 		})
@@ -44,7 +44,7 @@ func BenchmarkFedCountFull(b *testing.B) {
 func BenchmarkFedTxnsPage(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByHeight(n, c.Height()))
+		cl := benchCluster(b, c, ByHeight(n, c.Height()), Options{})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindTxns, Range: etl.All(), Limit: 100})
 		})
@@ -54,9 +54,30 @@ func BenchmarkFedTxnsPage(b *testing.B) {
 func BenchmarkFedTopActors(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByRegion(n))
+		cl := benchCluster(b, c, ByRegion(n), Options{})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindTopActors, Range: etl.All(), K: 10})
 		})
 	}
+}
+
+// BenchmarkFedTopActors_Day ranks one day's actors on four region
+// shards with the result cache off, so every iteration runs the shard
+// tallies and the merge. The day holds rewards transactions, each
+// paying many accounts.
+func BenchmarkFedTopActors_Day(b *testing.B) {
+	c := testChain(b)
+	tip := c.Height()
+	rewards := 0
+	c.Scan(func(h int64, t chain.Txn) bool {
+		if h > tip-chain.BlocksPerDay && t.TxnType() == chain.TxnRewards {
+			rewards++
+		}
+		return true
+	})
+	if rewards == 0 {
+		b.Fatal("the benchmark day holds no rewards transactions")
+	}
+	cl := benchCluster(b, c, ByRegion(4), Options{CacheSize: -1})
+	benchQuery(b, cl, Query{Kind: KindTopActors, Range: etl.Range{From: tip - chain.BlocksPerDay + 1, To: tip}, K: 10})
 }

@@ -159,12 +159,15 @@ type Partial struct {
 	Tip   int64
 	Count int64
 	Mix   map[chain.TxnType]int64
-	// Actors is the shard's complete mention ranking (not truncated
-	// to K): global top-k over per-shard top-k lists is lossy, and
-	// each transaction lives on exactly one shard, so merging the
-	// full lists keeps the federated ranking exact.
+	// Actors is the shard's complete mention tally, unordered and not
+	// truncated to K: global top-k over per-shard top-k lists is
+	// lossy, and each transaction lives on exactly one shard, so
+	// summing the full tallies keeps the federated ranking exact.
 	Actors []ActorCount
-	Txns   []TxnRec
+	// Txns is the shard's page in chain order. Shards leave each
+	// record's Hash unset; the merge hashes only the records that
+	// make the merged page.
+	Txns []TxnRec
 	// More reports the shard had further matching transactions beyond
 	// its page limit.
 	More bool

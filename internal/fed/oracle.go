@@ -2,6 +2,7 @@ package fed
 
 import (
 	"math"
+	"sort"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
@@ -70,6 +71,24 @@ func Reference(blocks []*chain.Block, q Query) *Result {
 		res.TopActors = ranked
 	}
 	return res
+}
+
+// rankActors orders a mention count map by (count desc, actor asc),
+// the one total order every ranking surface in the tier shares, so
+// truncation at K is deterministic everywhere. The federated merge
+// selects under the same order (actorBefore) without sorting.
+func rankActors(counts map[string]int64) []ActorCount {
+	out := make([]ActorCount, 0, len(counts))
+	for a, c := range counts {
+		out = append(out, ActorCount{Actor: a, Count: c})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Count != out[j].Count {
+			return out[i].Count > out[j].Count
+		}
+		return out[i].Actor < out[j].Actor
+	})
+	return out
 }
 
 // refScan visits matching transactions in chain order with their

@@ -2,7 +2,6 @@ package fed
 
 import (
 	"context"
-	"sort"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
@@ -121,47 +120,38 @@ func mix(ctx context.Context, n *Node, q Query, p *Partial) error {
 	})
 }
 
+// topActors tallies, per actor, the matching transactions that
+// mention it: one map lookup per mention, and a per-actor stamp (the
+// number of the last transaction that counted it) in place of a
+// per-transaction seen-set, so a rewards transaction naming thousands
+// of accounts costs linear time. The tally is left unordered; the
+// merge selects the top K.
 func topActors(ctx context.Context, n *Node, q Query, p *Partial) error {
-	counts := make(map[string]int64)
-	var seen []string // per-txn dedupe scratch
-	err := scan(ctx, n, q, func(_ int64, t chain.Txn) bool {
-		seen = seen[:0]
-		etl.ActorsOf(t, func(a string) {
-			if a == "" {
-				return
-			}
-			for _, prev := range seen {
-				if prev == a {
-					return
-				}
-			}
-			seen = append(seen, a)
-			counts[a]++
-		})
+	idx := make(map[string]int) // actor → index into p.Actors and last
+	var last []int              // per actor: stamp of the txn that last counted it
+	stamp := 0
+	tally := func(a string) {
+		if a == "" {
+			return
+		}
+		i, ok := idx[a]
+		if !ok {
+			i = len(p.Actors)
+			idx[a] = i
+			p.Actors = append(p.Actors, ActorCount{Actor: a})
+			last = append(last, 0)
+		}
+		if last[i] == stamp {
+			return
+		}
+		last[i] = stamp
+		p.Actors[i].Count++
+	}
+	return scan(ctx, n, q, func(_ int64, t chain.Txn) bool {
+		stamp++
+		etl.ActorsOf(t, tally)
 		return true
 	})
-	if err != nil {
-		return err
-	}
-	p.Actors = rankActors(counts)
-	return nil
-}
-
-// rankActors orders a mention count map by (count desc, actor asc) —
-// the one total order every ranking surface in the tier shares, so
-// truncation at K is deterministic everywhere.
-func rankActors(counts map[string]int64) []ActorCount {
-	out := make([]ActorCount, 0, len(counts))
-	for a, c := range counts {
-		out = append(out, ActorCount{Actor: a, Count: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Count != out[j].Count {
-			return out[i].Count > out[j].Count
-		}
-		return out[i].Actor < out[j].Actor
-	})
-	return out
 }
 
 func txns(ctx context.Context, n *Node, q Query, p *Partial) error {
@@ -174,7 +164,7 @@ func txns(ctx context.Context, n *Node, q Query, p *Partial) error {
 	qr := q
 	qr.Range = r
 	err := scan(ctx, n, qr, func(h int64, t chain.Txn) bool {
-		rec := TxnRec{Height: h, Seq: n.seqOf(h, t), Type: t.TxnType().String(), Hash: chain.Hash(t), Txn: t}
+		rec := TxnRec{Height: h, Seq: n.seqOf(h, t), Type: t.TxnType().String(), Txn: t}
 		if rec.cursor().before(q.Cursor) {
 			return true
 		}

@@ -66,27 +66,101 @@ func (mixMergeStrategy) Merge(_ Query, parts []*Partial, res *Result) {
 	}
 }
 
-// topKMergeStrategy merges complete per-shard rankings, re-ranks, and
-// truncates to K. Shards ship full rankings (Partial.Actors), which
-// is what makes this an ordered top-k merge rather than the lossy
+// topKMergeStrategy sums complete per-shard tallies and selects the
+// exact top K. Shards ship full tallies (Partial.Actors), which is
+// what makes this an exact merge rather than the lossy
 // union-of-local-top-k heuristic: an actor scattered thinly across
-// shards still totals correctly.
+// shards still totals correctly. Selection keeps a K-entry heap, so
+// n distinct actors cost O(n log K) with no sort of the whole tally,
+// and the result is a fresh slice of at most K entries.
 type topKMergeStrategy struct{}
 
 func (topKMergeStrategy) Name() string { return "topk-merge" }
 
 func (topKMergeStrategy) Merge(q Query, parts []*Partial, res *Result) {
-	acc := make(map[string]int64)
+	res.TopActors = selectTopK(sumTallies(parts), q.topK())
+}
+
+// sumTallies adds the shards' tallies into one, in first-seen order
+// (shard by shard).
+func sumTallies(parts []*Partial) []ActorCount {
+	size := 0
+	for _, p := range parts {
+		size = max(size, len(p.Actors))
+	}
+	idx := make(map[string]int, size)
+	acc := make([]ActorCount, 0, size)
 	for _, p := range parts {
 		for _, ac := range p.Actors {
-			acc[ac.Actor] += ac.Count
+			if i, ok := idx[ac.Actor]; ok {
+				acc[i].Count += ac.Count
+				continue
+			}
+			idx[ac.Actor] = len(acc)
+			acc = append(acc, ac)
 		}
 	}
-	ranked := rankActors(acc)
-	if k := q.topK(); len(ranked) > k {
-		ranked = ranked[:k]
+	return acc
+}
+
+// actorBefore is the ranking order: count desc, then actor asc.
+func actorBefore(a, b ActorCount) bool {
+	if a.Count != b.Count {
+		return a.Count > b.Count
 	}
-	res.TopActors = ranked
+	return a.Actor < b.Actor
+}
+
+// selectTopK returns the k best of tally in ranking order. It keeps
+// the best k seen so far in a heap whose root is the worst of them,
+// then heap-sorts that heap in place: the worst goes to the back, so
+// the slice ends up best first.
+func selectTopK(tally []ActorCount, k int) []ActorCount {
+	h := make([]ActorCount, 0, min(k, len(tally)))
+	for _, ac := range tally {
+		switch {
+		case len(h) < k:
+			h = append(h, ac)
+			siftUp(h, len(h)-1)
+		case actorBefore(ac, h[0]):
+			h[0] = ac
+			siftDown(h, 0)
+		}
+	}
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
+	}
+	return h
+}
+
+// siftUp and siftDown maintain h as a heap with the worst-ranked
+// entry at the root.
+func siftUp(h []ActorCount, i int) {
+	for i > 0 {
+		parent := (i - 1) / 2
+		if !actorBefore(h[parent], h[i]) {
+			return
+		}
+		h[parent], h[i] = h[i], h[parent]
+		i = parent
+	}
+}
+
+func siftDown(h []ActorCount, i int) {
+	for {
+		worst := i
+		for _, c := range [2]int{2*i + 1, 2*i + 2} {
+			if c < len(h) && actorBefore(h[worst], h[c]) {
+				worst = c
+			}
+		}
+		if worst == i {
+			return
+		}
+		h[i], h[worst] = h[worst], h[i]
+		i = worst
+	}
 }
 
 // kwayMergeStrategy merges per-shard chain-ordered pages by (height,
@@ -122,7 +196,11 @@ func (kwayMergeStrategy) Merge(q Query, parts []*Partial, res *Result) {
 		if best < 0 {
 			break
 		}
-		res.Txns = append(res.Txns, parts[best].Txns[idx[best]])
+		// Shards leave Hash unset; only the records on the merged page
+		// pay for encoding and hashing.
+		rec := parts[best].Txns[idx[best]]
+		rec.Hash = chain.Hash(rec.Txn)
+		res.Txns = append(res.Txns, rec)
 		idx[best]++
 	}
 	if leftover() {

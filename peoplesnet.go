@@ -109,14 +109,6 @@ func MeasureStore(s *etl.Store, w *World) *Study {
 // why.
 func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 	opts = opts.Normalized()
-	var ledgerErr error
-	if s.Ledger() == nil {
-		l, err := s.ReplayLedger()
-		if err != nil {
-			l, ledgerErr = chain.NewLedger(), err
-		}
-		s.SetLedger(l)
-	}
 	var d *core.Dataset
 	if w != nil {
 		d = core.FromSimulation(w)
@@ -124,6 +116,17 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 		d = &core.Dataset{}
 	}
 	d.Chain = s.View()
+	var ledgerErr error
+	if s.Ledger() == nil {
+		// A successful replay attaches its ledger to the store. A failed
+		// one leaves the store without a ledger, so the next measurement
+		// retries and reports the failure too; this one runs against an
+		// empty substitute held by the dataset alone.
+		if _, err := s.ReplayLedger(); err != nil {
+			ledgerErr = err
+			d.Chain = substituteLedger{View: s.View(), l: chain.NewLedger()}
+		}
+	}
 	if opts.PoCWeight > 0 {
 		d.PoCWeight = opts.PoCWeight
 	}
@@ -147,6 +150,15 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 	}
 	return st
 }
+
+// substituteLedger is a store view whose ledger is an empty stand-in
+// for one that failed to replay.
+type substituteLedger struct {
+	*etl.View
+	l *chain.Ledger
+}
+
+func (v substituteLedger) Ledger() *chain.Ledger { return v.l }
 
 // LiveStudy re-exports internal/live's incremental study: the §3–§6
 // analyses maintained as materialized views over a store's block

@@ -72,7 +72,8 @@ func TestRunFieldFacade(t *testing.T) {
 // chain is built under a one-block PoC interval the replay ledger does
 // not know, so the replay fails; MeasureStore must say so through
 // LedgerErr, naming the failing block, instead of measuring an empty
-// ledger silently.
+// ledger silently, on every call, and the store's health note must
+// record the failure.
 func TestMeasureStoreReportsLedgerErr(t *testing.T) {
 	w, err := Simulate(SmallWorld(3))
 	if err != nil {
@@ -98,12 +99,24 @@ func TestMeasureStoreReportsLedgerErr(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	st := MeasureStore(s2, nil)
-	if st.LedgerErr == nil {
-		t.Fatal("failed ledger replay left LedgerErr nil")
+	// The failure must not be papered over by the first call: a second
+	// measurement of the same store retries the replay and reports it
+	// again.
+	for call := 1; call <= 2; call++ {
+		st := MeasureStore(s2, nil)
+		if st.LedgerErr == nil {
+			t.Fatalf("call %d: failed ledger replay left LedgerErr nil", call)
+		}
+		if !strings.Contains(st.LedgerErr.Error(), "replay block ") {
+			t.Errorf("call %d: LedgerErr %q does not name the failing block", call, st.LedgerErr)
+		}
+		if s2.Ledger() != nil {
+			t.Errorf("call %d: the store has a ledger attached after a failed replay", call)
+		}
 	}
-	if !strings.Contains(st.LedgerErr.Error(), "replay block ") {
-		t.Errorf("LedgerErr %q does not name the failing block", st.LedgerErr)
+	// The store's own health says the replay failed, and where.
+	if note := s2.Health().CheckpointNote; !strings.Contains(note, "replay failed") || !strings.Contains(note, "replay block ") {
+		t.Errorf("CheckpointNote %q does not record the failed replay and its block", note)
 	}
 	if fresh := MeasureStore(etl.FromChain(w.Chain), nil); fresh.LedgerErr != nil {
 		t.Errorf("store with the chain's ledger attached: LedgerErr %v", fresh.LedgerErr)
