@@ -758,8 +758,11 @@ func BenchmarkLiveStudy_PerBlock(b *testing.B) {
 }
 
 // BenchmarkLiveStudy_Snapshot materializes a consistent snapshot from
-// a fully-folded study: the cost a dashboard pays per render, which
-// must stay O(hotspots + owners), independent of chain length.
+// a fully-folded study: the cost a dashboard pays per render. No block
+// arrives between iterations, so it times the answer alone (bulk
+// owners, the per-close series, the move CDFs), independent of chain
+// length and of the fleet; what a snapshot pays for the blocks folded
+// since the previous one shows in perfbench's follow workload.
 func BenchmarkLiveStudy_Snapshot(b *testing.B) {
 	w, _ := world(b)
 	md := core.FromSimulation(w)

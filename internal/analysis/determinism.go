@@ -63,7 +63,21 @@ var randConstructors = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
+// mapOrderFact marks a map-ordered visitor: a function that calls the
+// function parameters at Params (argument indices) once per entry of a
+// map, in map iteration order — chain.(*Ledger).EachHotspot is one. A
+// function literal passed there is checked like a range body over a
+// map.
+type mapOrderFact struct {
+	Params []int
+}
+
+func (*mapOrderFact) AFact() {}
+
 func runDeterminism(pass *Pass) error {
+	// Every package exports its visitors, deterministic or not: a
+	// measuring package may visit an operational one's maps.
+	visitors := exportMapOrderVisitors(pass)
 	if !deterministicPkgs[pass.Pkg.Path()] {
 		return nil
 	}
@@ -76,12 +90,167 @@ func runDeterminism(pass *Pass) error {
 			case *ast.FuncDecl:
 				// Function literals nested in the body are covered by
 				// this same scan.
-				checkMapOrder(pass, n.Body, wrappers)
+				checkMapOrder(pass, n.Body, wrappers, visitors)
 			}
 			return true
 		})
 	}
 	return nil
+}
+
+// visitorLookup returns the map-ordered parameter indices of a callee
+// (nil if it is not a map-ordered visitor).
+type visitorLookup func(*types.Func) []int
+
+// exportMapOrderVisitors finds the package's map-ordered visitors,
+// exports a mapOrderFact for each, and returns a lookup that answers
+// for these and, through facts, for imported ones. A function is a
+// visitor if it uses a function parameter inside a map-ordered body
+// (mapOrderedBodies) or passes the parameter straight on as a
+// visitor's callback; a fixpoint settles visitors built on visitors of
+// the same package.
+func exportMapOrderVisitors(pass *Pass) visitorLookup {
+	local := make(map[*types.Func][]int)
+	lookup := func(fn *types.Func) []int {
+		if ps, ok := local[fn]; ok {
+			return ps
+		}
+		var f mapOrderFact
+		if pass.ImportObjectFact(fn, &f) {
+			return f.Params
+		}
+		return nil
+	}
+	var decls []*ast.FuncDecl
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				decls = append(decls, fd)
+			}
+		}
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, fd := range decls {
+			obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func)
+			if !ok {
+				continue
+			}
+			if ps := mapOrderedParams(pass, fd, obj, lookup); len(ps) > len(local[obj]) {
+				local[obj] = ps
+				changed = true
+			}
+		}
+	}
+	for obj, ps := range local {
+		pass.ExportObjectFact(obj, &mapOrderFact{Params: ps})
+	}
+	return lookup
+}
+
+// mapOrderedParams returns the indices of fd's function parameters
+// that fd calls, or hands on, in map iteration order.
+func mapOrderedParams(pass *Pass, fd *ast.FuncDecl, obj *types.Func, lookup visitorLookup) []int {
+	params := obj.Type().(*types.Signature).Params()
+	funcParams := make(map[*types.Var]int)
+	for i := 0; i < params.Len(); i++ {
+		if _, ok := params.At(i).Type().Underlying().(*types.Signature); ok {
+			funcParams[params.At(i)] = i
+		}
+	}
+	if len(funcParams) == 0 {
+		return nil
+	}
+	ordered := make(map[int]bool)
+	usesIn := func(n ast.Node) {
+		ast.Inspect(n, func(n ast.Node) bool {
+			if id, ok := n.(*ast.Ident); ok {
+				if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok {
+					if i, ok := funcParams[v]; ok {
+						ordered[i] = true
+					}
+				}
+			}
+			return true
+		})
+	}
+	for _, b := range mapOrderedBodies(pass, fd.Body, lookup) {
+		usesIn(b.body)
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			for _, k := range lookup(calleeFunc(pass, call)) {
+				if k < len(call.Args) {
+					if _, isLit := call.Args[k].(*ast.FuncLit); !isLit {
+						usesIn(call.Args[k])
+					}
+				}
+			}
+		}
+		return true
+	})
+	var out []int
+	for i := 0; i < params.Len(); i++ {
+		if ordered[i] {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// calleeFunc resolves a call's static callee: a package-level
+// function or a method named through a selector (nil otherwise).
+func calleeFunc(pass *Pass, call *ast.CallExpr) *types.Func {
+	var id *ast.Ident
+	switch fun := call.Fun.(type) {
+	case *ast.Ident:
+		id = fun
+	case *ast.SelectorExpr:
+		id = fun.Sel
+	default:
+		return nil
+	}
+	fn, _ := pass.TypesInfo.Uses[id].(*types.Func)
+	return fn
+}
+
+// mapOrderedBody is a block that runs once per map entry, in map
+// iteration order.
+type mapOrderedBody struct {
+	start token.Pos // variables declared before it are outer
+	body  *ast.BlockStmt
+	end   token.Pos // a sort after it restores determinism
+	// via names the visitor a callback is passed to ("" for a range).
+	via string
+}
+
+// mapOrderedBodies returns the map-ordered blocks within body: the
+// bodies of range statements over maps, and the bodies of function
+// literals passed as callbacks to map-ordered visitors.
+func mapOrderedBodies(pass *Pass, body *ast.BlockStmt, lookup visitorLookup) []mapOrderedBody {
+	var out []mapOrderedBody
+	ast.Inspect(body, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.RangeStmt:
+			if tv, ok := pass.TypesInfo.Types[n.X]; ok {
+				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
+					out = append(out, mapOrderedBody{start: n.Pos(), body: n.Body, end: n.End()})
+				}
+			}
+		case *ast.CallExpr:
+			fn := calleeFunc(pass, n)
+			for _, k := range lookup(fn) {
+				if k >= len(n.Args) {
+					continue
+				}
+				if lit, ok := n.Args[k].(*ast.FuncLit); ok {
+					out = append(out, mapOrderedBody{start: lit.Pos(), body: lit.Body, end: n.End(), via: fn.FullName()})
+				}
+			}
+		}
+		return true
+	})
+	return out
 }
 
 // sortWrappers finds the package's own helpers that directly call
@@ -162,26 +331,17 @@ func checkDeterminismSelector(pass *Pass, sel *ast.SelectorExpr) {
 	}
 }
 
-// checkMapOrder flags loops that range over a map and append to an
-// outer slice — output assembled in map iteration order — unless the
-// enclosing function later sorts (any sort.* / slices.Sort* call after
-// the loop counts as restoring determinism).
-func checkMapOrder(pass *Pass, body *ast.BlockStmt, wrappers map[types.Object]bool) {
+// checkMapOrder flags map-ordered blocks (mapOrderedBodies) that
+// append to an outer slice — output assembled in map iteration order —
+// unless the enclosing function later sorts (any sort.* / slices.Sort*
+// call after the block counts as restoring determinism), and float
+// sums accumulated in them.
+func checkMapOrder(pass *Pass, body *ast.BlockStmt, wrappers map[types.Object]bool, visitors visitorLookup) {
 	if body == nil {
 		return
 	}
-	var ranges []*ast.RangeStmt
-	ast.Inspect(body, func(n ast.Node) bool {
-		if r, ok := n.(*ast.RangeStmt); ok {
-			if tv, ok := pass.TypesInfo.Types[r.X]; ok {
-				if _, isMap := tv.Type.Underlying().(*types.Map); isMap {
-					ranges = append(ranges, r)
-				}
-			}
-		}
-		return true
-	})
-	if len(ranges) == 0 {
+	blocks := mapOrderedBodies(pass, body, visitors)
+	if len(blocks) == 0 {
 		return
 	}
 	sortsAfter := func(pos token.Pos) bool {
@@ -204,12 +364,18 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt, wrappers map[types.Object]bo
 		return found
 	}
 	sums := make(map[*ast.AssignStmt]bool) // nested map loops see a sum twice
-	for _, r := range ranges {
-		if appendsToOuterSlice(pass, r) && !sortsAfter(r.End()) {
-			pass.Reportf(r.Pos(),
-				"slice assembled in map iteration order; map order is randomized per run — sort the result or iterate over sorted keys")
+	for _, b := range blocks {
+		if appendsToOuterSlice(pass, b) && !sortsAfter(b.end) {
+			if b.via == "" {
+				pass.Reportf(b.start,
+					"slice assembled in map iteration order; map order is randomized per run — sort the result or iterate over sorted keys")
+			} else {
+				pass.Reportf(b.start,
+					"slice assembled in map iteration order inside a callback of %s, which visits a map; map order is randomized per run — sort the result",
+					b.via)
+			}
 		}
-		for _, as := range floatSumsToOuter(pass, r) {
+		for _, as := range floatSumsToOuter(pass, b) {
 			if sums[as] {
 				continue
 			}
@@ -220,14 +386,14 @@ func checkMapOrder(pass *Pass, body *ast.BlockStmt, wrappers map[types.Object]bo
 	}
 }
 
-// floatSumsToOuter returns the += / -= statements in the range body
-// whose target is a float variable, or a field of one, declared before
-// the loop: a running sum whose rounding depends on map order. A
-// target reached through an index (m[k] += v) accumulates per key and
-// is order-independent.
-func floatSumsToOuter(pass *Pass, r *ast.RangeStmt) []*ast.AssignStmt {
+// floatSumsToOuter returns the += / -= statements in the block whose
+// target is a float variable, or a field of one, declared before the
+// block: a running sum whose rounding depends on map order. A target
+// reached through an index (m[k] += v) accumulates per key and is
+// order-independent.
+func floatSumsToOuter(pass *Pass, b mapOrderedBody) []*ast.AssignStmt {
 	var out []*ast.AssignStmt
-	ast.Inspect(r.Body, func(n ast.Node) bool {
+	ast.Inspect(b.body, func(n ast.Node) bool {
 		as, ok := n.(*ast.AssignStmt)
 		if !ok || (as.Tok != token.ADD_ASSIGN && as.Tok != token.SUB_ASSIGN) || len(as.Lhs) != 1 {
 			return true
@@ -248,7 +414,7 @@ func floatSumsToOuter(pass *Pass, r *ast.RangeStmt) []*ast.AssignStmt {
 			base = se.X
 		}
 		if id, ok := base.(*ast.Ident); ok {
-			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.Pos() < r.Pos() {
+			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.Pos() < b.start {
 				out = append(out, as)
 			}
 		}
@@ -257,12 +423,12 @@ func floatSumsToOuter(pass *Pass, r *ast.RangeStmt) []*ast.AssignStmt {
 	return out
 }
 
-// appendsToOuterSlice reports whether the range body grows a slice
-// declared outside the loop (the classic nondeterministic-order shape:
+// appendsToOuterSlice reports whether the block grows a slice
+// declared outside it (the classic nondeterministic-order shape:
 // out = append(out, ...) under range over a map).
-func appendsToOuterSlice(pass *Pass, r *ast.RangeStmt) bool {
+func appendsToOuterSlice(pass *Pass, b mapOrderedBody) bool {
 	found := false
-	ast.Inspect(r.Body, func(n ast.Node) bool {
+	ast.Inspect(b.body, func(n ast.Node) bool {
 		call, ok := n.(*ast.CallExpr)
 		if !ok {
 			return true
@@ -279,7 +445,7 @@ func appendsToOuterSlice(pass *Pass, r *ast.RangeStmt) bool {
 		}
 		// Only the append(x, ...) ... x = append(x, ...) shape matters:
 		// the first argument must resolve to a variable declared before
-		// the loop.
+		// the block.
 		base := call.Args[0]
 		for {
 			if ix, ok := base.(*ast.IndexExpr); ok {
@@ -293,7 +459,7 @@ func appendsToOuterSlice(pass *Pass, r *ast.RangeStmt) bool {
 			break
 		}
 		if id, ok := base.(*ast.Ident); ok {
-			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.Pos() < r.Pos() {
+			if v, ok := pass.TypesInfo.Uses[id].(*types.Var); ok && v.Pos() < b.start {
 				found = true
 				return false
 			}

@@ -7,6 +7,7 @@ import (
 
 func TestDeterminismFixture(t *testing.T) {
 	res := runFixture(t, "determinism", Determinism,
+		"peoplesnet/internal/chain",   // exports its visitors' facts first
 		"peoplesnet/internal/simnet",  // the deterministic package under test
 		"peoplesnet/internal/hotspot", // operational: outside the set
 	)

@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"cmp"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/geo"
@@ -75,9 +75,11 @@ type MovesState struct {
 	dist      *stats.CDF
 	intervals *stats.CDF
 	longMoves []MoveRecord
-	zeroAss   int
-	zeroFirst int
-	atZero    int
+	// longMoves[:longSorted] is in LongMoves order.
+	longSorted int
+	zeroAss    int
+	zeroFirst  int
+	atZero     int
 }
 
 // NewMovesState returns an empty fold state.
@@ -171,8 +173,14 @@ func (st *MovesState) TotalMoves() int64 { return int64(st.dist.N()) }
 
 // Finalize materializes the §4.1 analysis. The state is not consumed:
 // aggregates are cloned, so a live view can keep folding after a
-// snapshot.
+// snapshot. The state's own CDFs and long-move list are sorted in
+// place first, so each call sorts only what was added since the last
+// one.
 func (st *MovesState) Finalize() MoveAnalysis {
+	st.dist.Sort()
+	st.intervals.Sort()
+	stats.SortAppended(st.longMoves, st.longSorted, compareLongMoves)
+	st.longSorted = len(st.longMoves)
 	a := MoveAnalysis{
 		Hotspots:         st.hotspots,
 		MovesPerHotspot:  st.perMoves.Clone(),
@@ -198,17 +206,19 @@ func (st *MovesState) Finalize() MoveAnalysis {
 		a.WithinWeekFrac = a.IntervalBlocks.P(7 * chain.BlocksPerDay)
 		a.WithinMoFrac = a.IntervalBlocks.P(30 * chain.BlocksPerDay)
 	}
-	sort.Slice(a.LongMoves, func(i, j int) bool {
-		mi, mj := a.LongMoves[i], a.LongMoves[j]
-		if mi.DistanceKm != mj.DistanceKm {
-			return mi.DistanceKm > mj.DistanceKm
-		}
-		if mi.Hotspot != mj.Hotspot {
-			return mi.Hotspot < mj.Hotspot
-		}
-		return mi.ToBlock < mj.ToBlock
-	})
 	return a
+}
+
+// compareLongMoves orders LongMoves: longest first, then by hotspot
+// and height.
+func compareLongMoves(a, b MoveRecord) int {
+	if c := cmp.Compare(b.DistanceKm, a.DistanceKm); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.Hotspot, b.Hotspot); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.ToBlock, b.ToBlock)
 }
 
 // AnalyzeMoves folds the chain's location assertions from genesis —

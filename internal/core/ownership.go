@@ -64,73 +64,207 @@ type OwnershipAnalysis struct {
 	Bulk []OwnerProfile
 }
 
-// AnalyzeOwnership tallies hotspots per wallet from the ledger and
-// classifies bulk owners by the paper's balance/data heuristics.
-func (d *Dataset) AnalyzeOwnership() OwnershipAnalysis {
-	return AnalyzeOwnershipLedger(d.Chain.Ledger(), d.Meta)
+// OwnershipState is the §4.3 fold. It consumes add_gateway,
+// transfer_hotspot and state_channel_close transactions in chain order
+// and keeps, per hotspot, its owner, data packets and meta city; per
+// owner, the fleet size, the data total and a multiset of cities; the
+// fleet-size histogram; and the set of bulk owners. A hotspot's
+// packets move with it when it is sold, as the ledger's per-hotspot
+// counter does. The fold trusts the chain's validation: it ignores
+// only what it cannot apply (a repeated add_gateway, or a transfer or
+// summary naming an unknown hotspot).
+type OwnershipState struct {
+	meta     map[string]HotspotMeta
+	hotspots map[string]heldHotspot
+	owners   map[string]*ownerTally
+	perOwner *stats.Histogram
+	bulk     map[string]*ownerTally // owners with ≥ bulkOwner hotspots
 }
 
-// AnalyzeOwnershipLedger is the §4.3 computation over any replayed
-// ledger. The live view calls it against its replica ledger — the
-// ledger itself is the incremental state, so both paths run this one
-// O(hotspots) walk at snapshot time, reading the records in place.
-// Ties (largest owner, equal fleet sizes in Bulk) break toward the
-// smaller address so the result is identical regardless of visit
-// order.
-func AnalyzeOwnershipLedger(ledger *chain.Ledger, meta map[string]HotspotMeta) OwnershipAnalysis {
-	type acc struct {
-		hotspots int
-		data     int64
-		cities   map[string]bool
+// heldHotspot is one hotspot's slice of OwnershipState.
+type heldHotspot struct {
+	owner *ownerTally
+	data  int64
+	city  string
+	// located records that the hotspot has meta, so city counts.
+	located bool
+}
+
+// ownerTally is one owner's slice of OwnershipState.
+type ownerTally struct {
+	addr     string
+	hotspots int
+	data     int64
+	cities   []cityCount // a multiset: one entry per distinct city
+}
+
+type cityCount struct {
+	city string
+	n    int
+}
+
+// NewOwnershipState returns an empty fold state that resolves cities
+// through meta (which may be nil, and must not change afterwards).
+func NewOwnershipState(meta map[string]HotspotMeta) *OwnershipState {
+	return &OwnershipState{
+		meta:     meta,
+		hotspots: make(map[string]heldHotspot),
+		owners:   make(map[string]*ownerTally),
+		perOwner: stats.NewHistogram(),
+		bulk:     make(map[string]*ownerTally),
 	}
-	type holding struct {
-		owner *acc
-		addr  string
-	}
-	owners := make(map[string]*acc)
-	held := make([]holding, 0, ledger.HotspotCount())
-	ledger.EachHotspot(func(h *chain.Hotspot) {
-		a := owners[h.Owner]
-		if a == nil {
-			a = &acc{}
-			owners[h.Owner] = a
+}
+
+// ownershipTxnTypes are the transaction types OwnershipState consumes.
+var ownershipTxnTypes = []chain.TxnType{chain.TxnAddGateway, chain.TxnTransferHotspot, chain.TxnStateChannelClose}
+
+// ApplyTxn folds one transaction; other types are ignored.
+func (st *OwnershipState) ApplyTxn(height int64, t chain.Txn) {
+	switch v := t.(type) {
+	case *chain.AddGateway:
+		if _, dup := st.hotspots[v.Gateway]; dup {
+			return
 		}
-		a.hotspots++
-		a.data += h.DataPackets
-		held = append(held, holding{a, h.Address})
-	})
-	// Only bulk owners report a city count, so only their hotspots
-	// are looked up in meta.
-	for _, hd := range held {
-		if hd.owner.hotspots < bulkOwner {
+		h := heldHotspot{owner: st.owner(v.Owner)}
+		if m, ok := st.meta[v.Gateway]; ok {
+			h.city, h.located = m.City, true
+		}
+		st.hotspots[v.Gateway] = h
+		st.gain(h)
+	case *chain.TransferHotspot:
+		h, ok := st.hotspots[v.Gateway]
+		if !ok {
+			return
+		}
+		st.lose(h)
+		h.owner = st.owner(v.Buyer)
+		st.hotspots[v.Gateway] = h
+		st.gain(h)
+	case *chain.StateChannelClose:
+		for _, s := range v.Summaries {
+			h, ok := st.hotspots[s.Hotspot]
+			if !ok {
+				continue
+			}
+			h.data += s.Packets
+			st.hotspots[s.Hotspot] = h
+			h.owner.data += s.Packets
+		}
+	default:
+		// No other transaction changes who owns what or the packets a
+		// hotspot carried.
+	}
+}
+
+// owner returns addr's tally, creating an empty one.
+func (st *OwnershipState) owner(addr string) *ownerTally {
+	o := st.owners[addr]
+	if o == nil {
+		o = &ownerTally{addr: addr}
+		st.owners[addr] = o
+	}
+	return o
+}
+
+// gain adds h to its owner's fleet.
+func (st *OwnershipState) gain(h heldHotspot) {
+	o := h.owner
+	if o.hotspots == 0 {
+		st.perOwner.Observe(1)
+	} else {
+		st.perOwner.Shift(o.hotspots, o.hotspots+1)
+	}
+	o.hotspots++
+	o.data += h.data
+	if h.located {
+		o.addCity(h.city)
+	}
+	if o.hotspots == bulkOwner {
+		st.bulk[o.addr] = o
+	}
+}
+
+// lose removes h from its owner's fleet; an owner left with none is
+// forgotten.
+func (st *OwnershipState) lose(h heldHotspot) {
+	o := h.owner
+	if o.hotspots == 1 {
+		st.perOwner.Unobserve(1)
+	} else {
+		st.perOwner.Shift(o.hotspots, o.hotspots-1)
+	}
+	if o.hotspots == bulkOwner {
+		delete(st.bulk, o.addr)
+	}
+	o.hotspots--
+	o.data -= h.data
+	if h.located {
+		o.dropCity(h.city)
+	}
+	if o.hotspots == 0 {
+		delete(st.owners, o.addr)
+	}
+}
+
+func (o *ownerTally) addCity(city string) {
+	for i := range o.cities {
+		if o.cities[i].city == city {
+			o.cities[i].n++
+			return
+		}
+	}
+	o.cities = append(o.cities, cityCount{city, 1})
+}
+
+func (o *ownerTally) dropCity(city string) {
+	for i := range o.cities {
+		if o.cities[i].city != city {
 			continue
 		}
-		if m, ok := meta[hd.addr]; ok {
-			if hd.owner.cities == nil {
-				hd.owner.cities = make(map[string]bool)
-			}
-			hd.owner.cities[m.City] = true
+		if o.cities[i].n--; o.cities[i].n == 0 {
+			last := len(o.cities) - 1
+			o.cities[i] = o.cities[last]
+			o.cities = o.cities[:last]
 		}
+		return
 	}
-	o := OwnershipAnalysis{PerOwner: stats.NewHistogram()}
-	for addr, a := range owners {
-		o.Owners++
-		o.Hotspots += a.hotspots
-		o.PerOwner.Observe(a.hotspots)
-		if a.hotspots > o.MaxOwned || (a.hotspots == o.MaxOwned && addr < o.MaxOwner) {
-			o.MaxOwned = a.hotspots
-			o.MaxOwner = addr
+}
+
+// Finalize materializes §4.3. It costs O(bulk owners): its one ledger
+// read is each bulk owner's HNT balance. Only while no owner holds
+// bulkOwner hotspots does the largest-owner tie break walk every
+// owner. Ties (largest owner, equal fleet sizes in Bulk) break toward
+// the smaller address. The state keeps folding after a snapshot.
+func (st *OwnershipState) Finalize(ledger *chain.Ledger) OwnershipAnalysis {
+	o := OwnershipAnalysis{
+		Owners:   len(st.owners),
+		Hotspots: len(st.hotspots),
+		PerOwner: st.perOwner.Clone(),
+	}
+	for _, a := range st.bulk {
+		p := OwnerProfile{
+			Address:     a.addr,
+			Hotspots:    a.hotspots,
+			HNTBones:    ledger.GetAccount(a.addr).HNTBones,
+			DataPackets: a.data,
+			Cities:      len(a.cities),
 		}
-		if a.hotspots >= bulkOwner {
-			p := OwnerProfile{
-				Address:     addr,
-				Hotspots:    a.hotspots,
-				HNTBones:    ledger.GetAccount(addr).HNTBones,
-				DataPackets: a.data,
-				Cities:      len(a.cities),
+		p.Class = classifyOwner(p)
+		o.Bulk = append(o.Bulk, p)
+	}
+	sort.Slice(o.Bulk, func(i, j int) bool {
+		if o.Bulk[i].Hotspots != o.Bulk[j].Hotspots {
+			return o.Bulk[i].Hotspots > o.Bulk[j].Hotspots
+		}
+		return o.Bulk[i].Address < o.Bulk[j].Address
+	})
+	if len(o.Bulk) > 0 {
+		o.MaxOwned, o.MaxOwner = o.Bulk[0].Hotspots, o.Bulk[0].Address
+	} else {
+		for _, a := range st.owners {
+			if a.hotspots > o.MaxOwned || (a.hotspots == o.MaxOwned && a.addr < o.MaxOwner) {
+				o.MaxOwned, o.MaxOwner = a.hotspots, a.addr
 			}
-			p.Class = classifyOwner(p)
-			o.Bulk = append(o.Bulk, p)
 		}
 	}
 	if o.Owners > 0 {
@@ -140,13 +274,19 @@ func AnalyzeOwnershipLedger(ledger *chain.Ledger, meta map[string]HotspotMeta) O
 		o.AtMostThree = o.PerOwner.FracAtMost(3)
 		o.FiveOrMore = o.PerOwner.FracMoreThan(4)
 	}
-	sort.Slice(o.Bulk, func(i, j int) bool {
-		if o.Bulk[i].Hotspots != o.Bulk[j].Hotspots {
-			return o.Bulk[i].Hotspots > o.Bulk[j].Hotspots
-		}
-		return o.Bulk[i].Address < o.Bulk[j].Address
-	})
 	return o
+}
+
+// AnalyzeOwnership folds ownership from genesis — the identical fold
+// the live view extends per block — and reads bulk owners' balances
+// from the view's ledger.
+func (d *Dataset) AnalyzeOwnership() OwnershipAnalysis {
+	st := NewOwnershipState(d.Meta)
+	d.Chain.ScanTypes(ownershipTxnTypes, func(h int64, t chain.Txn) bool {
+		st.ApplyTxn(h, t)
+		return true
+	})
+	return st.Finalize(d.Chain.Ledger())
 }
 
 // bulkOwner is the fleet size from which an owner is profiled in
@@ -269,11 +409,13 @@ type TraderProfile struct {
 }
 
 // ResaleState is the §4.3.3 fold: transfer_hotspot transactions
-// tallied per hotspot, per trader, and per month.
+// tallied per hotspot (and as a histogram of those tallies), per
+// trader, and per month.
 type ResaleState struct {
 	total      int64
 	zero       int64
 	perHotspot map[string]int
+	perHotHist *stats.Histogram
 	traders    map[string]*TraderProfile
 	perMonth   map[int64]float64
 }
@@ -282,6 +424,7 @@ type ResaleState struct {
 func NewResaleState() *ResaleState {
 	return &ResaleState{
 		perHotspot: make(map[string]int),
+		perHotHist: stats.NewHistogram(),
 		traders:    make(map[string]*TraderProfile),
 		perMonth:   make(map[int64]float64),
 	}
@@ -295,6 +438,11 @@ func (st *ResaleState) ApplyTxn(height int64, t chain.Txn) {
 		return
 	}
 	st.total++
+	if n := st.perHotspot[tr.Gateway]; n == 0 {
+		st.perHotHist.Observe(1)
+	} else {
+		st.perHotHist.Shift(n, n+1)
+	}
 	st.perHotspot[tr.Gateway]++
 	if tr.AmountBones == 0 {
 		st.zero++
@@ -324,15 +472,13 @@ func (st *ResaleState) Total() int64 { return st.total }
 // (the denominator of TransferredFrac comes from the ledger, not the
 // fold). The state keeps folding after a snapshot. The trader ranking
 // is totally ordered (activity, then address), so the topN cut is
-// deterministic.
+// deterministic; it is selected without sorting every trader.
 func (st *ResaleState) Finalize(topN, hotspotCount int) ResaleAnalysis {
 	r := ResaleAnalysis{
 		TotalTransfers:      st.total,
-		TransfersPerHotspot: stats.NewHistogram(),
+		TransfersPerHotspot: st.perHotHist.Clone(),
 		PerMonth:            stats.NewTimeSeries("hotspot transfers/month"),
-	}
-	for _, n := range st.perHotspot {
-		r.TransfersPerHotspot.Observe(n)
+		TopTraders:          topTraders(st.traders, topN),
 	}
 	r.TransferredHotspots = len(st.perHotspot)
 	if hotspotCount > 0 {
@@ -346,20 +492,36 @@ func (st *ResaleState) Finalize(topN, hotspotCount int) ResaleAnalysis {
 		r.PerMonth.Append(m, n)
 	}
 	r.PerMonth.Sort()
-	for _, tp := range st.traders {
-		r.TopTraders = append(r.TopTraders, *tp)
-	}
-	sort.Slice(r.TopTraders, func(i, j int) bool {
-		ti, tj := r.TopTraders[i], r.TopTraders[j]
-		if ti.Bought+ti.Sold != tj.Bought+tj.Sold {
-			return ti.Bought+ti.Sold > tj.Bought+tj.Sold
-		}
-		return ti.Address < tj.Address
-	})
-	if topN > 0 && len(r.TopTraders) > topN {
-		r.TopTraders = r.TopTraders[:topN]
-	}
 	return r
+}
+
+// traderBefore is the Fig 7b ranking: more transfers first, then the
+// smaller address.
+func traderBefore(a, b *TraderProfile) bool {
+	if a.Bought+a.Sold != b.Bought+b.Sold {
+		return a.Bought+a.Sold > b.Bought+b.Sold
+	}
+	return a.Address < b.Address
+}
+
+// topTraders returns the first n traders in traderBefore order (all of
+// them when n <= 0), selected in O(traders · log n).
+func topTraders(traders map[string]*TraderProfile, n int) []TraderProfile {
+	if n <= 0 || n > len(traders) {
+		n = len(traders)
+	}
+	if n == 0 {
+		return nil
+	}
+	top := stats.NewTopK(n, traderBefore)
+	for _, tp := range traders {
+		top.Offer(tp)
+	}
+	out := make([]TraderProfile, n)
+	for i, tp := range top.Sorted() {
+		out[i] = *tp
+	}
+	return out
 }
 
 // AnalyzeResale folds transfer_hotspot transactions from genesis —

@@ -38,8 +38,10 @@ type trafficPoint struct {
 // TrafficState is the §5 fold: per-close series, totals, per-owner
 // close counts (the Console share is resolved against the ledger's
 // OUI registry at finalize time, because an OUI may register after
-// its first close), and a deque of the closes inside the trailing
-// week of the current tip.
+// its first close), a deque of the closes inside the trailing week of
+// the current tip, and the settled part of the spike detector.
+// Closes must arrive in chain order, as ScanType and a block tail
+// deliver them, so the per-close series is already sorted.
 type TrafficState struct {
 	perClose      *stats.TimeSeries
 	totalPackets  int64
@@ -48,6 +50,7 @@ type TrafficState struct {
 	win           []trafficPoint
 	winHead       int
 	winSum        int64
+	spike         spikeScan
 }
 
 // NewTrafficState returns an empty fold state.
@@ -55,6 +58,7 @@ func NewTrafficState() *TrafficState {
 	return &TrafficState{
 		perClose:      stats.NewTimeSeries("packets per SC close"),
 		closesByOwner: make(map[string]int64),
+		spike:         newSpikeScan(),
 	}
 }
 
@@ -91,9 +95,10 @@ func (st *TrafficState) evict(tip int64) {
 }
 
 // Finalize materializes §5 at the given tip, resolving the Console
-// share against the ledger's OUI registry. The per-close series is
-// cloned before the spike detector sorts it, so the state keeps
-// folding after a snapshot.
+// share against the ledger's OUI registry. The spike detector scores
+// only the closes that arrived since the last Finalize plus the last
+// spikeWindow ones, whose baselines a later close can still change.
+// The state keeps folding after a snapshot.
 func (st *TrafficState) Finalize(tip int64, ledger *chain.Ledger) TrafficAnalysis {
 	t := TrafficAnalysis{
 		PerClose:     st.perClose.Clone(),
@@ -119,7 +124,7 @@ func (st *TrafficState) Finalize(tip int64, ledger *chain.Ledger) TrafficAnalysi
 	if tip > 0 {
 		t.FinalPktPerSec = float64(st.winSum) / (7 * 24 * 3600)
 	}
-	t.detectSpike()
+	st.detectSpike(&t)
 	return t
 }
 
@@ -140,72 +145,111 @@ func (d *Dataset) AnalyzeTraffic() TrafficAnalysis {
 // orders of magnitude over the timeline, so a global threshold would
 // flag the healthy end of the series instead of the August 2020
 // anomaly.
-func (t *TrafficAnalysis) detectSpike() {
-	t.PerClose.Sort()
-	n := t.PerClose.Len()
+//
+// A close's baseline is final once spikeWindow closes follow it, so
+// st.spike advances over those for good; a copy of it scores the
+// rest, whose windows the end of the series still clips.
+func (st *TrafficState) detectSpike(t *TrafficAnalysis) {
+	xs, ys := st.perClose.Xs, st.perClose.Ys
+	n := len(ys)
 	if n < 10 {
 		return
 	}
-	baseline := spikeBaseline(t.PerClose.Ys)
-	// Score each hot run by its excess volume above baseline and keep
-	// the biggest. Scoring by run *length* would let the noisy early
-	// chain (closes of a handful of packets over a baseline of one)
-	// outrank the arbitrage anomaly.
-	bestScore, curStart := 0.0, -1
-	for i := 0; i <= n; i++ {
-		hot := i < n && t.PerClose.Ys[i] > 5*baseline[i]
-		if hot && curStart < 0 {
-			curStart = i
-		}
-		if !hot && curStart >= 0 {
-			score, peak := 0.0, 0.0
-			for k := curStart; k < i; k++ {
-				score += t.PerClose.Ys[k] - baseline[k]
-				if t.PerClose.Ys[k] > peak {
-					peak = t.PerClose.Ys[k]
-				}
-			}
-			if score > bestScore {
-				bestScore = score
-				t.SpikeStartBlock = t.PerClose.Xs[curStart]
-				t.SpikeEndBlock = t.PerClose.Xs[i-1]
-				t.SpikePeak = peak
-			}
-			curStart = -1
-		}
+	for st.spike.next+spikeWindow <= n {
+		st.spike.step(xs, ys)
 	}
+	tail := st.spike.clone()
+	for tail.next < n {
+		tail.step(xs, ys)
+	}
+	tail.endRun(xs, n)
+	t.SpikeStartBlock, t.SpikeEndBlock, t.SpikePeak = tail.bestStart, tail.bestEnd, tail.bestPeak
 }
 
 // spikeWindow is the half-width, in closes, of the baseline window.
 const spikeWindow = 150
 
-// spikeBaseline returns, for each close i, the median (the upper one
-// for an even count) of ys[i-spikeWindow : i+spikeWindow] clipped to
-// the series, or 1 where that is not positive. One sorted copy of the
-// window slides along the series, inserting the entering close and
-// deleting the leaving one by binary search.
-func spikeBaseline(ys []float64) []float64 {
-	n := len(ys)
-	baseline := make([]float64, n)
-	win := make([]float64, 0, 2*spikeWindow)
-	lo, hi := 0, 0
-	for i := range baseline {
-		for ; hi < min(i+spikeWindow, n); hi++ {
-			j := sort.SearchFloat64s(win, ys[hi])
-			win = append(win, 0)
-			copy(win[j+1:], win[j:])
-			win[j] = ys[hi]
-		}
-		for ; lo < max(i-spikeWindow, 0); lo++ {
-			j := sort.SearchFloat64s(win, ys[lo])
-			win = append(win[:j], win[j+1:]...)
-		}
-		baseline[i] = win[len(win)/2]
-		if baseline[i] <= 0 {
-			baseline[i] = 1
-		}
+// spikeScan walks the per-close series once, in order. For close i it
+// slides a sorted copy of ys[i-spikeWindow : i+spikeWindow] (clipped
+// to the series) one close along, inserting the entering close and
+// deleting the leaving one by binary search, and takes the window's
+// median (the upper one for an even count, or 1 where that is not
+// positive) as the baseline. It scores each hot run by its excess
+// volume above baseline and keeps the biggest. Scoring by run
+// *length* would let the noisy early chain (closes of a handful of
+// packets over a baseline of one) outrank the arbitrage anomaly.
+type spikeScan struct {
+	next   int       // the close step scores next
+	win    []float64 // sorted ys[lo:hi]
+	lo, hi int
+
+	runStart          int // first close of the open hot run, or -1
+	runScore, runPeak float64
+
+	bestScore          float64
+	bestStart, bestEnd int64
+	bestPeak           float64
+}
+
+func newSpikeScan() spikeScan {
+	return spikeScan{win: make([]float64, 0, 2*spikeWindow), runStart: -1}
+}
+
+// clone copies the scan, window included.
+func (s *spikeScan) clone() spikeScan {
+	c := *s
+	c.win = append(make([]float64, 0, 2*spikeWindow), s.win...)
+	return c
+}
+
+// baseline slides the window to close s.next of ys and returns that
+// close's baseline.
+func (s *spikeScan) baseline(ys []float64) float64 {
+	i, n := s.next, len(ys)
+	for ; s.hi < min(i+spikeWindow, n); s.hi++ {
+		j := sort.SearchFloat64s(s.win, ys[s.hi])
+		s.win = append(s.win, 0)
+		copy(s.win[j+1:], s.win[j:])
+		s.win[j] = ys[s.hi]
 	}
-	return baseline
+	for ; s.lo < max(i-spikeWindow, 0); s.lo++ {
+		j := sort.SearchFloat64s(s.win, ys[s.lo])
+		s.win = append(s.win[:j], s.win[j+1:]...)
+	}
+	b := s.win[len(s.win)/2]
+	if b <= 0 {
+		b = 1
+	}
+	return b
+}
+
+// step scores close s.next and moves on to the next one.
+func (s *spikeScan) step(xs []int64, ys []float64) {
+	i := s.next
+	base := s.baseline(ys)
+	if y := ys[i]; y > 5*base {
+		if s.runStart < 0 {
+			s.runStart, s.runScore, s.runPeak = i, 0, 0
+		}
+		s.runScore += y - base
+		s.runPeak = max(s.runPeak, y)
+	} else {
+		s.endRun(xs, i)
+	}
+	s.next++
+}
+
+// endRun closes the open hot run, if any, before close i, keeping it
+// if it outscores the best so far.
+func (s *spikeScan) endRun(xs []int64, i int) {
+	if s.runStart < 0 {
+		return
+	}
+	if s.runScore > s.bestScore {
+		s.bestScore = s.runScore
+		s.bestStart, s.bestEnd, s.bestPeak = xs[s.runStart], xs[i-1], s.runPeak
+	}
+	s.runStart = -1
 }
 
 // RouterAnalysis reproduces §5.2: who runs routers.

@@ -4,6 +4,7 @@ import (
 	"sort"
 	"testing"
 
+	"peoplesnet/internal/chain"
 	"peoplesnet/internal/stats"
 )
 
@@ -31,7 +32,7 @@ func naiveSpikeBaseline(ys []float64) []float64 {
 }
 
 // naiveSpike scores hot runs over the naive baseline, the way
-// detectSpike scores them over the sliding one.
+// spikeScan scores them over the sliding one.
 func naiveSpike(xs []int64, ys []float64) (start, end int64, peak float64) {
 	n := len(ys)
 	if n < 10 {
@@ -62,12 +63,16 @@ func naiveSpike(xs []int64, ys []float64) (start, end int64, peak float64) {
 // TestSpikeBaselineMatchesNaive pins the sliding-window median to the
 // per-close copy-and-sort on seeded series full of ties and zeros,
 // with bursts that the detector must find, at lengths around every
-// window edge.
+// window edge. One TrafficState folds each series and finalizes after
+// every close, so each Finalize resumes from the baselines the
+// previous one settled; its spike is checked on a sample of prefixes.
 func TestSpikeBaselineMatchesNaive(t *testing.T) {
 	for _, n := range []int{9, 10, 149, 150, 151, 299, 300, 301, 2000} {
 		for seed := uint64(1); seed <= 5; seed++ {
 			rng := stats.NewRNG(seed*1000 + uint64(n))
 			ts := stats.NewTimeSeries("closes")
+			st := NewTrafficState()
+			ledger := chain.NewLedger()
 			h := int64(0)
 			for i := 0; i < n; i++ {
 				h += int64(rng.Intn(3))
@@ -76,21 +81,26 @@ func TestSpikeBaselineMatchesNaive(t *testing.T) {
 					y = float64(rng.Intn(200)) // a burst
 				}
 				ts.Append(h, y)
-			}
-			got, want := spikeBaseline(ts.Ys), naiveSpikeBaseline(ts.Ys)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d seed=%d: baseline[%d] = %v, want %v", n, seed, i, got[i], want[i])
+				st.ApplyTxn(h, &chain.StateChannelClose{Summaries: []chain.SCSummary{{Packets: int64(y)}}})
+				tr := st.Finalize(h, ledger)
+				if i%(13+n/25) != 0 && i != n-1 {
+					continue // the naive recount is quadratic; check a sample of prefixes
+				}
+				start, end, peak := naiveSpike(ts.Xs, ts.Ys)
+				if tr.SpikeStartBlock != start || tr.SpikeEndBlock != end || tr.SpikePeak != peak {
+					t.Fatalf("n=%d seed=%d prefix %d: spike [%d,%d] peak %v, want [%d,%d] peak %v",
+						n, seed, i+1, tr.SpikeStartBlock, tr.SpikeEndBlock, tr.SpikePeak, start, end, peak)
 				}
 			}
-			tr := TrafficAnalysis{PerClose: ts}
-			tr.detectSpike()
-			start, end, peak := naiveSpike(ts.Xs, ts.Ys)
-			if tr.SpikeStartBlock != start || tr.SpikeEndBlock != end || tr.SpikePeak != peak {
-				t.Fatalf("n=%d seed=%d: spike [%d,%d] peak %v, want [%d,%d] peak %v",
-					n, seed, tr.SpikeStartBlock, tr.SpikeEndBlock, tr.SpikePeak, start, end, peak)
+			s := newSpikeScan()
+			want := naiveSpikeBaseline(ts.Ys)
+			for i := range want {
+				if got := s.baseline(ts.Ys); got != want[i] {
+					t.Fatalf("n=%d seed=%d: baseline[%d] = %v, want %v", n, seed, i, got, want[i])
+				}
+				s.next++
 			}
-			if n >= 150 && start == 0 && end == 0 {
+			if start, end, _ := naiveSpike(ts.Xs, ts.Ys); n >= 150 && start == 0 && end == 0 {
 				t.Fatalf("n=%d seed=%d: no spike found; the series does not exercise the detector", n, seed)
 			}
 		}

@@ -31,10 +31,14 @@ func benchQuery(b *testing.B, cl *Cluster, q Query) {
 	}
 }
 
+// The whole-chain benchmarks below run with the result cache off, as
+// BenchmarkFedTopActors_Day does: with it on, every iteration after
+// the first is a cache hit and the shard kernels go untimed.
+
 func BenchmarkFedCountFull(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByRegion(n), Options{})
+		cl := benchCluster(b, c, ByRegion(n), Options{CacheSize: -1})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindCount, Range: etl.All(), Filter: etl.Filter{Types: []chain.TxnType{chain.TxnPoCReceipt}}})
 		})
@@ -44,7 +48,7 @@ func BenchmarkFedCountFull(b *testing.B) {
 func BenchmarkFedTxnsPage(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByHeight(n, c.Height()), Options{})
+		cl := benchCluster(b, c, ByHeight(n, c.Height()), Options{CacheSize: -1})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindTxns, Range: etl.All(), Limit: 100})
 		})
@@ -54,7 +58,7 @@ func BenchmarkFedTxnsPage(b *testing.B) {
 func BenchmarkFedTopActors(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByRegion(n), Options{})
+		cl := benchCluster(b, c, ByRegion(n), Options{CacheSize: -1})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindTopActors, Range: etl.All(), K: 10})
 		})

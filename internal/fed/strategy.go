@@ -4,6 +4,7 @@ import (
 	"sync"
 
 	"peoplesnet/internal/chain"
+	"peoplesnet/internal/stats"
 )
 
 // Strategy merges per-shard partials into the federated result. The
@@ -111,56 +112,13 @@ func actorBefore(a, b ActorCount) bool {
 	return a.Actor < b.Actor
 }
 
-// selectTopK returns the k best of tally in ranking order. It keeps
-// the best k seen so far in a heap whose root is the worst of them,
-// then heap-sorts that heap in place: the worst goes to the back, so
-// the slice ends up best first.
+// selectTopK returns the k best of tally in ranking order.
 func selectTopK(tally []ActorCount, k int) []ActorCount {
-	h := make([]ActorCount, 0, min(k, len(tally)))
+	top := stats.NewTopK(min(k, len(tally)), actorBefore)
 	for _, ac := range tally {
-		switch {
-		case len(h) < k:
-			h = append(h, ac)
-			siftUp(h, len(h)-1)
-		case actorBefore(ac, h[0]):
-			h[0] = ac
-			siftDown(h, 0)
-		}
+		top.Offer(ac)
 	}
-	for end := len(h) - 1; end > 0; end-- {
-		h[0], h[end] = h[end], h[0]
-		siftDown(h[:end], 0)
-	}
-	return h
-}
-
-// siftUp and siftDown maintain h as a heap with the worst-ranked
-// entry at the root.
-func siftUp(h []ActorCount, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if !actorBefore(h[parent], h[i]) {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
-	}
-}
-
-func siftDown(h []ActorCount, i int) {
-	for {
-		worst := i
-		for _, c := range [2]int{2*i + 1, 2*i + 2} {
-			if c < len(h) && actorBefore(h[worst], h[c]) {
-				worst = c
-			}
-		}
-		if worst == i {
-			return
-		}
-		h[i], h[worst] = h[worst], h[i]
-		i = worst
-	}
+	return top.Sorted()
 }
 
 // kwayMergeStrategy merges per-shard chain-ordered pages by (height,

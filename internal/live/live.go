@@ -45,6 +45,7 @@ type Study struct {
 	summary   *core.SummaryState
 	moves     *core.MovesState
 	growth    *core.GrowthState
+	ownership *core.OwnershipState
 	resale    *core.ResaleState
 	traffic   *core.TrafficState
 	winAdds   *dayRing
@@ -98,18 +99,19 @@ func New(opts Options) *Study {
 		opts.WindowDays = 30
 	}
 	return &Study{
-		opts:     opts,
-		ledger:   chain.NewLedger(),
-		summary:  core.NewSummaryState(),
-		moves:    core.NewMovesState(),
-		growth:   core.NewGrowthState(),
-		resale:   core.NewResaleState(),
-		traffic:  core.NewTrafficState(),
-		winAdds:  newDayRing(opts.WindowDays),
-		winMoves: newDayRing(opts.WindowDays),
-		winXfers: newDayRing(opts.WindowDays),
-		first:    -1,
-		height:   -1,
+		opts:      opts,
+		ledger:    chain.NewLedger(),
+		summary:   core.NewSummaryState(),
+		moves:     core.NewMovesState(),
+		growth:    core.NewGrowthState(),
+		ownership: core.NewOwnershipState(opts.Meta),
+		resale:    core.NewResaleState(),
+		traffic:   core.NewTrafficState(),
+		winAdds:   newDayRing(opts.WindowDays),
+		winMoves:  newDayRing(opts.WindowDays),
+		winXfers:  newDayRing(opts.WindowDays),
+		first:     -1,
+		height:    -1,
 	}
 }
 
@@ -182,6 +184,7 @@ func (st *Study) ApplyBlock(b *chain.Block) {
 		}
 		st.moves.ApplyTxn(b.Height, t)
 		st.growth.ApplyTxn(b.Height, t)
+		st.ownership.ApplyTxn(b.Height, t)
 		st.resale.ApplyTxn(b.Height, t)
 		st.traffic.ApplyTxn(b.Height, t)
 	}
@@ -240,11 +243,14 @@ func (st *Study) pocWeight() float64 {
 
 // Snapshot materializes every view at the study's current height. The
 // result shares no mutable state with the study, which keeps folding.
-// It costs one in-place walk of the replica ledger's hotspots and one
-// pass over the state-channel closes, sliding the spike detector's
-// sorted 300-close window one close per step: O(hotspots + closes ·
-// window), with no chain scan. It holds the study's lock throughout,
-// so ApplyBlock waits for it.
+// It walks no hotspots and scans no chain: it costs the size of the
+// answer plus what changed since the last snapshot. The ownership fold
+// profiles its bulk owners; the spike detector scores the closes that
+// arrived since, plus the last 150, whose baselines are still open; the
+// moves fold merges its new samples into its sorted CDFs; the resale
+// fold picks its top traders with a bounded heap. The per-close series
+// and the CDFs are copied once each. It holds the study's lock
+// throughout, so ApplyBlock waits for it.
 func (st *Study) Snapshot() Snapshot {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -258,7 +264,7 @@ func (st *Study) Snapshot() Snapshot {
 		Summary:     st.summary.Finalize(st.pocWeight()),
 		Moves:       st.moves.Finalize(),
 		Growth:      st.growth.Finalize(),
-		Ownership:   core.AnalyzeOwnershipLedger(st.ledger, st.opts.Meta),
+		Ownership:   st.ownership.Finalize(st.ledger),
 		Resale:      st.resale.Finalize(st.opts.Measure.ResaleTopN, st.ledger.HotspotCount()),
 		Traffic:     st.traffic.Finalize(st.height, st.ledger),
 		Window: WindowSnapshot{

@@ -1,8 +1,10 @@
 package stats
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -12,7 +14,8 @@ import (
 // function. The zero value is empty; add samples with Add or build one
 // from a slice with NewCDF.
 type CDF struct {
-	sorted  bool
+	// samples[:sortedN] is in ascending order; Add appends past it.
+	sortedN int
 	samples []float64
 }
 
@@ -20,20 +23,50 @@ type CDF struct {
 // slice is copied.
 func NewCDF(samples []float64) *CDF {
 	c := &CDF{samples: append([]float64(nil), samples...)}
-	c.sort()
+	c.Sort()
 	return c
 }
 
 // Add appends a sample.
 func (c *CDF) Add(x float64) {
 	c.samples = append(c.samples, x)
-	c.sorted = false
 }
 
-func (c *CDF) sort() {
-	if !c.sorted {
-		sort.Float64s(c.samples)
-		c.sorted = true
+// Sort puts the samples in ascending order. Only the samples added
+// since the last sort are sorted and merged into the sorted rest
+// (SortAppended), so a CDF that grows between queries costs
+// O(n + k log k) per query for k new samples, not O(n log n). Queries
+// sort implicitly; calling Sort first lets a caller pay for it once,
+// before cloning.
+func (c *CDF) Sort() {
+	SortAppended(c.samples, c.sortedN, cmp.Compare[float64])
+	c.sortedN = len(c.samples)
+}
+
+// SortAppended sorts s by cmp, given that s[:sorted] is already in
+// order: it sorts the rest, then merges the two runs in place from the
+// back, so prefix elements at or below the rest's minimum never move.
+// It costs O(k log k) for the k appended elements plus O(n) for the
+// merge, which is skipped when they all sort after the prefix.
+func SortAppended[T any](s []T, sorted int, cmp func(a, b T) int) {
+	tail := s[sorted:]
+	if len(tail) == 0 {
+		return
+	}
+	slices.SortFunc(tail, cmp)
+	if sorted == 0 || cmp(tail[0], s[sorted-1]) >= 0 {
+		return
+	}
+	buf := append([]T(nil), tail...)
+	i, j := sorted-1, len(buf)-1
+	for k := len(s) - 1; j >= 0; k-- {
+		if i >= 0 && cmp(buf[j], s[i]) < 0 {
+			s[k] = s[i]
+			i--
+		} else {
+			s[k] = buf[j]
+			j--
+		}
 	}
 }
 
@@ -41,7 +74,7 @@ func (c *CDF) sort() {
 // sortedness — a cloned-then-queried CDF is structurally identical to
 // the original after the same queries.
 func (c *CDF) Clone() *CDF {
-	return &CDF{sorted: c.sorted, samples: append([]float64(nil), c.samples...)}
+	return &CDF{sortedN: c.sortedN, samples: append([]float64(nil), c.samples...)}
 }
 
 // N returns the number of samples.
@@ -52,7 +85,7 @@ func (c *CDF) P(x float64) float64 {
 	if len(c.samples) == 0 {
 		return 0
 	}
-	c.sort()
+	c.Sort()
 	i := sort.SearchFloat64s(c.samples, math.Nextafter(x, math.Inf(1)))
 	return float64(i) / float64(len(c.samples))
 }
@@ -66,7 +99,7 @@ func (c *CDF) Quantile(q float64) float64 {
 	if q < 0 || q > 1 {
 		panic("stats: Quantile q outside [0,1]")
 	}
-	c.sort()
+	c.Sort()
 	if q == 0 {
 		return c.samples[0]
 	}
@@ -88,7 +121,7 @@ func (c *CDF) Min() float64 {
 	if len(c.samples) == 0 {
 		panic("stats: Min of empty CDF")
 	}
-	c.sort()
+	c.Sort()
 	return c.samples[0]
 }
 
@@ -97,7 +130,7 @@ func (c *CDF) Max() float64 {
 	if len(c.samples) == 0 {
 		panic("stats: Max of empty CDF")
 	}
-	c.sort()
+	c.Sort()
 	return c.samples[len(c.samples)-1]
 }
 
@@ -135,7 +168,7 @@ func (c *CDF) Points(n int) []Point {
 	if len(c.samples) == 0 || n <= 0 {
 		return nil
 	}
-	c.sort()
+	c.Sort()
 	if n > len(c.samples) {
 		n = len(c.samples)
 	}
@@ -180,8 +213,8 @@ func (c *CDF) KolmogorovSmirnov(other *CDF) float64 {
 	if c.N() == 0 || other.N() == 0 {
 		return 1
 	}
-	c.sort()
-	other.sort()
+	c.Sort()
+	other.Sort()
 	maxD := 0.0
 	i, j := 0, 0
 	na, nb := float64(c.N()), float64(other.N())

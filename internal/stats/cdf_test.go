@@ -164,3 +164,36 @@ func TestCDFStdDev(t *testing.T) {
 		t.Fatalf("StdDev = %v, want 2", got)
 	}
 }
+
+// TestCDFSortMergesAdded interleaves Add with queries, so each sort
+// merges a sorted tail into a sorted prefix, and requires the samples
+// to equal one full sort of everything added (ties and zeros
+// included) after every query.
+func TestCDFSortMergesAdded(t *testing.T) {
+	rng := NewRNG(5)
+	c := &CDF{}
+	var all []float64
+	for round := 0; round < 60; round++ {
+		for k := rng.Intn(20); k > 0; k-- {
+			x := float64(rng.Intn(30))
+			if rng.Float64() < 0.1 {
+				x = -x
+			}
+			c.Add(x)
+			all = append(all, x)
+		}
+		if c.N() == 0 {
+			continue
+		}
+		c.P(10)
+		want := NewCDF(all)
+		if c.sortedN != want.sortedN || !sort.Float64sAreSorted(c.samples) || len(c.samples) != len(want.samples) {
+			t.Fatalf("round %d: sortedN %d of %d, want %d", round, c.sortedN, len(c.samples), want.sortedN)
+		}
+		for i := range want.samples {
+			if c.samples[i] != want.samples[i] {
+				t.Fatalf("round %d: sample %d = %v, want %v", round, i, c.samples[i], want.samples[i])
+			}
+		}
+	}
+}

@@ -42,6 +42,17 @@ func (h *Histogram) Shift(from, to int) {
 	h.counts[to]++
 }
 
+// Unobserve removes one observation of value v: the exact inverse of
+// Observe, for "this owner just sold their last hotspot". A count that
+// reaches zero is deleted, as in Shift.
+func (h *Histogram) Unobserve(v int) {
+	h.counts[v]--
+	if h.counts[v] == 0 {
+		delete(h.counts, v)
+	}
+	h.total--
+}
+
 // Clone returns an independent deep copy.
 func (h *Histogram) Clone() *Histogram {
 	c := &Histogram{counts: make(map[int]int, len(h.counts)), total: h.total}

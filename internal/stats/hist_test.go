@@ -150,3 +150,41 @@ func TestTimeSeriesRender(t *testing.T) {
 		t.Fatal("empty series render wrong")
 	}
 }
+
+// TestHistogramUnobserve drives per-owner fleet sizes through buys and
+// sales — Observe for a new owner, Shift for a size change, Unobserve
+// for an owner selling their last unit — and requires the result to
+// be structurally identical to observing each final size once.
+func TestHistogramUnobserve(t *testing.T) {
+	rng := NewRNG(17)
+	sizes := make(map[int]int) // owner → units held
+	h := NewHistogram()
+	for step := 0; step < 5000; step++ {
+		owner := rng.Intn(40)
+		n := sizes[owner]
+		switch {
+		case n == 0:
+			h.Observe(1)
+			sizes[owner] = 1
+		case rng.Float64() < 0.45 && n == 1:
+			h.Unobserve(1)
+			delete(sizes, owner)
+		case rng.Float64() < 0.45 && n > 1:
+			h.Shift(n, n-1)
+			sizes[owner] = n - 1
+		default:
+			h.Shift(n, n+1)
+			sizes[owner] = n + 1
+		}
+		if step%250 != 0 {
+			continue
+		}
+		want := NewHistogram()
+		for _, v := range sizes {
+			want.Observe(v)
+		}
+		if !reflect.DeepEqual(h, want) {
+			t.Fatalf("step %d: histogram %+v, want %+v", step, h, want)
+		}
+	}
+}
