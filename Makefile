@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke
+.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest
 
 build:
 	$(GO) build ./...
@@ -122,4 +122,10 @@ bench-mttr:
 live-smoke:
 	$(GO) test -race -run 'TestLiveStudy' ./internal/live/
 
-check: fmt vet lint build race recovery fuzz-smoke fed-smoke chaos-smoke live-smoke
+# perfbench's own tests: its reference checks and output digests on a
+# small world. perfbench is a module of its own (perfbench/go.mod), so
+# ./... at the root never reaches it.
+bench-selftest:
+	cd perfbench && GOWORK=off $(GO) test ./...
+
+check: fmt vet lint build race recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest

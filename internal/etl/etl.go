@@ -12,9 +12,12 @@
 //   - per-transaction-type posting lists (§3 txn-mix queries, the
 //     Fig 5/7/8 single-type scans),
 //   - per-actor posting lists (hotspot address or wallet → its txn
-//     timeline, the federation's actor queries); rewards, which mint
-//     to thousands of accounts per epoch, sit on one shared list per
-//     segment that actor queries filter by inspecting entries.
+//     timeline, the federation's actor queries); rewards, which pay
+//     hundreds to thousands of accounts each (PaperWorld(7): 659
+//     rewards, 389,446 entries), sit on one shared list per segment
+//     instead. An actor query tests each shared rewards transaction
+//     for membership with one binary search over its entries'
+//     addresses, sorted once, on the segment's first actor scan.
 //
 // On top of the segments the store maintains incremental materialized
 // aggregates for the hot analyses (transaction mix, location asserts

@@ -151,17 +151,25 @@ func scanSegment(g *segment, from, to int64, f Filter, mask uint64, fn func(int6
 		return true
 	}
 
+	// Rewards parked on the shared list (fan-out suppressed) join an
+	// actor scan whose types admit them, and are tested against the
+	// segment's membership index.
+	var members []rewardMembers
+	if len(f.Actors) > 0 && g.shared.n > 0 && (mask == 0 || mask&(1<<chain.TxnRewards) != 0) {
+		members = g.rewardIndex()
+	}
+
 	// emit resolves a matched posting. Only shared-list rewards still
-	// need the mention check — every other filter dimension has been
+	// need the membership test — every other filter dimension has been
 	// decided on posting positions alone, without touching the block.
-	needMention := len(f.Actors) > 0 && g.shared.n > 0
 	emit := func(p pos) bool {
 		b := g.blocks[p.blk]
 		if !inRange(b.Height) {
 			return b.Height <= to // past the range end: stop
 		}
 		t := b.Txns[p.txn]
-		if needMention && t.TxnType() == chain.TxnRewards && !mentionsAny(t, f.Actors) {
+		if members != nil && p.tt == chain.TxnRewards &&
+			!mentionsAnyMember(members, p, t.(*chain.Rewards), f.Actors) {
 			return true
 		}
 		return fn(b.Height, t)
@@ -193,9 +201,7 @@ func scanSegment(g *segment, from, to int64, f Filter, mask uint64, fn func(int6
 			actorIts = append(actorIts, ps.iter(0))
 		}
 	}
-	// Rewards parked on the shared list (fan-out suppressed) are
-	// merged in and filtered by inspecting their entries in emit.
-	if g.shared.n > 0 && (mask == 0 || mask&(1<<chain.TxnRewards) != 0) {
+	if members != nil {
 		actorIts = append(actorIts, g.shared.iter(0))
 	}
 	// With a type filter too, postings carry their txn type, so the

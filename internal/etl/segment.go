@@ -1,6 +1,9 @@
 package etl
 
 import (
+	"slices"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -37,11 +40,19 @@ type segment struct {
 	byType  map[chain.TxnType]*postings
 	byActor map[string]*postings
 	// shared holds the segment's rewards transactions, whose actor
-	// fan-out is suppressed: a paper-scale chain mints to tens of
-	// thousands of accounts per epoch, so posting every entry would
-	// cost hundreds of MB. Actor queries merge the list in and keep
-	// only the rewards whose entries mention a queried actor.
+	// fan-out is suppressed. PaperWorld(7)'s 659 rewards hold 389,446
+	// entries naming 480,201 distinct (rewards, address) pairs; a
+	// posting per pair would add 1.4 MB of encoded postings and about
+	// 10 MB of heap to every store holding the chain, and change the
+	// sidecar. Actor queries merge the list in and keep the rewards
+	// whose members name a queried actor.
 	shared *postings
+	// members is the membership index of each rewards transaction on
+	// shared, in list order. The first actor scan that reaches the
+	// list builds it (membersOnce); it is immutable after, so readers
+	// never lock, and it is never persisted.
+	membersOnce sync.Once
+	members     []rewardMembers
 	// agg is the segment's aggregate contribution, decoded from the
 	// sidecar (or rebuilt) at load; nil for in-memory segments, whose
 	// transactions were observed at append time.
@@ -200,6 +211,59 @@ func actorsOf(t chain.Txn, emit func(string)) {
 	}
 }
 
+// rewardMembers indexes one shared rewards transaction's entries: a
+// ref entry<<1|field for each of its 2·len(Entries) address fields
+// (field 0 the Account, 1 the Gateway), empty fields included, sorted
+// by the address each names. It answers exactly what mentionsActor
+// answers for the transaction, with one binary search per actor.
+type rewardMembers struct {
+	at   pos
+	refs []uint32
+}
+
+// memberAddr returns the address ref names among es.
+func memberAddr(es []chain.RewardEntry, ref uint32) string {
+	if ref&1 == 0 {
+		return es[ref>>1].Account
+	}
+	return es[ref>>1].Gateway
+}
+
+// rewardIndex returns the segment's rewards membership indexes,
+// building them on first use.
+func (g *segment) rewardIndex() []rewardMembers {
+	g.membersOnce.Do(func() {
+		ms := make([]rewardMembers, 0, g.shared.n)
+		it := g.shared.iter(0)
+		for p, ok := it.next(); ok; p, ok = it.next() {
+			es := g.blocks[p.blk].Txns[p.txn].(*chain.Rewards).Entries
+			refs := make([]uint32, 2*len(es))
+			for i := range refs {
+				refs[i] = uint32(i)
+			}
+			slices.SortFunc(refs, func(a, b uint32) int {
+				return strings.Compare(memberAddr(es, a), memberAddr(es, b))
+			})
+			ms = append(ms, rewardMembers{at: p, refs: refs})
+		}
+		g.members = ms
+	})
+	return g.members
+}
+
+// mentionsAnyMember reports whether the shared rewards transaction r
+// at p names any of the actors. p must be on the shared list.
+func mentionsAnyMember(ms []rewardMembers, p pos, r *chain.Rewards, actors []string) bool {
+	refs := ms[sort.Search(len(ms), func(i int) bool { return !less(ms[i].at, p) })].refs
+	for _, a := range actors {
+		i := sort.Search(len(refs), func(i int) bool { return memberAddr(r.Entries, refs[i]) >= a })
+		if i < len(refs) && memberAddr(r.Entries, refs[i]) == a {
+			return true
+		}
+	}
+	return false
+}
+
 // ActorsOf calls emit for every address t mentions, in the txn's own
 // field order (possibly with duplicates). It is the single definition
 // of "whose timeline does this transaction belong on" — the posting
@@ -212,8 +276,9 @@ func ActorsOf(t chain.Txn, emit func(string)) { actorsOf(t, emit) }
 // oracles apply identical semantics.
 func Mentions(t chain.Txn, actor string) bool { return mentionsActor(t, actor) }
 
-// mentionsActor reports whether t names the actor — used to filter
-// shared postings exactly.
+// mentionsActor reports whether t names the actor. It is the
+// definition behind Filter.Actors: the pending buffer filters by it,
+// and each rewardMembers index answers the same question.
 func mentionsActor(t chain.Txn, actor string) bool {
 	found := false
 	actorsOf(t, func(a string) {

@@ -85,3 +85,44 @@ func BenchmarkFedTopActors_Day(b *testing.B) {
 	cl := benchCluster(b, c, ByRegion(4), Options{CacheSize: -1})
 	benchQuery(b, cl, Query{Kind: KindTopActors, Range: etl.Range{From: tip - chain.BlocksPerDay + 1, To: tip}, K: 10})
 }
+
+// BenchmarkFedActorTxns lists the first page of one actor's history on
+// four region shards with the result cache off. The busiest actor
+// fills its page from the first segments it reaches; a rare actor's
+// page stays short, so the scan reaches every rewards transaction of
+// every shard and tests each for membership.
+func BenchmarkFedActorTxns(b *testing.B) {
+	c := testChain(b)
+	n := map[string]int{}
+	c.Scan(func(_ int64, t chain.Txn) bool {
+		seen := map[string]bool{}
+		etl.ActorsOf(t, func(a string) {
+			if a != "" && !seen[a] {
+				seen[a] = true
+				n[a]++
+			}
+		})
+		return true
+	})
+	busiest, rare := "", ""
+	for a, k := range n {
+		if busiest == "" || k > n[busiest] || (k == n[busiest] && a < busiest) {
+			busiest = a
+		}
+		if rare == "" || k < n[rare] || (k == n[rare] && a < rare) {
+			rare = a
+		}
+	}
+	cl := benchCluster(b, c, ByRegion(4), Options{CacheSize: -1})
+	page := func(actor string) Query {
+		return Query{Kind: KindTxns, Range: etl.All(), Limit: 100, Filter: etl.Filter{Actors: []string{actor}}}
+	}
+	// Reach every segment once untimed, so the timed loops measure
+	// queries, not the stores' one-time index set-up.
+	if _, err := cl.Query(context.Background(), page(rare)); err != nil {
+		b.Fatal(err)
+	}
+	for _, a := range []struct{ name, actor string }{{"busiest", busiest}, {"rare", rare}} {
+		b.Run(a.name, func(b *testing.B) { benchQuery(b, cl, page(a.actor)) })
+	}
+}
