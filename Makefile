@@ -96,9 +96,12 @@ fuzz-smoke:
 
 # Federation smoke: 4 height-sliced and 4 region-sliced in-process
 # shards answer the full query matrix under the race detector, every
-# result compared bit-for-bit against the single-store baseline.
+# result compared bit-for-bit against the single-store baseline. The
+# kept-ID tests ride along: shards read the upstream blocks, and the
+# transaction IDs kept on them, while the producer appends.
 fed-smoke:
-	$(GO) test -race -run TestFederationSmoke ./internal/fed/
+	$(GO) test -race -run 'TestFederationSmoke|TestMergedTxnHashes|TestTxnIDsWhileAppending|TestSeqUnrecoverableDegrades' ./internal/fed/
+	$(GO) test -race -run 'TestKeptTxnIDs|TestAppendBlockHashedCopiesIDs' ./internal/chain/
 
 # Chaos smoke: the seeded fed-layer fault matrix under the race
 # detector — kill mid-tail, persist-path crash, torn WAL write, sealed

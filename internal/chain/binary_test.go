@@ -65,7 +65,7 @@ func binaryTestBlocks(t testing.TB) []*Block {
 		},
 	}
 	for _, b := range blocks {
-		b.Hash = b.computeHash(nil)
+		b.Hash = b.computeHash()
 	}
 	return blocks
 }
@@ -100,7 +100,7 @@ func TestBlockBinaryRoundTrip(t *testing.T) {
 		}
 		// The recomputed hash must match, so a decoded block chains
 		// identically to the original.
-		if got.computeHash(nil) != b.computeHash(nil) {
+		if got.computeHash() != b.computeHash() {
 			t.Errorf("block %d: recomputed hash differs after round trip", b.Height)
 		}
 	}
@@ -171,7 +171,7 @@ func FuzzDecodeBlock(f *testing.F) {
 				t.Fatalf("round trip changed txn %d content: %#v vs %#v", i, b2.Txns[i], b.Txns[i])
 			}
 		}
-		if b2.computeHash(nil) != b.computeHash(nil) {
+		if b2.computeHash() != b.computeHash() {
 			t.Fatal("round trip changed the recomputable block hash")
 		}
 	})

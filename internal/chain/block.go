@@ -3,6 +3,7 @@ package chain
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"fmt"
 	"sort"
 	"sync"
@@ -12,31 +13,45 @@ import (
 // Block is one chain block. Blocks are minted nominally once per
 // minute (§3); the simulator may mint sparse blocks (skipping empty
 // heights) without affecting any analysis, which all key off height.
+//
+// A block a Chain appended also keeps its transactions' IDs, hashed
+// once at admission (TxnHash). Blocks built any other way — decoded
+// from JSON or the binary codec, projected by a shard, or written as
+// a literal — carry none, and TxnHash hashes on demand.
 type Block struct {
 	Height    int64     `json:"height"`
 	Timestamp time.Time `json:"timestamp"`
 	PrevHash  string    `json:"prev_hash"`
 	Hash      string    `json:"hash"`
 	Txns      []Txn     `json:"txns"`
+
+	ids []TxnID // IDOf(Txns[i]), kept by Chain appends; nil otherwise
+}
+
+// TxnHash returns the ID of the block's i-th transaction: the one the
+// chain kept at append, or IDOf(Txns[i]) for a block no chain built.
+// Its String is Hash(Txns[i]) either way.
+func (b *Block) TxnHash(i int) TxnID {
+	if b.ids != nil {
+		return b.ids[i]
+	}
+	return IDOf(b.Txns[i])
 }
 
 // computeHash derives the block hash from height, time, parent, and
-// transaction hashes. txnHashes, when non-nil, carries precomputed
-// Hash(t) values index-aligned with b.Txns (producers that hash
-// transactions in parallel pass them through); nil recomputes inline.
-func (b *Block) computeHash(txnHashes []string) string {
+// the hex IDs of the transactions (TxnHash).
+func (b *Block) computeHash() string {
 	h := sha256.New()
 	var buf [16]byte
 	binary.BigEndian.PutUint64(buf[:8], uint64(b.Height))
 	binary.BigEndian.PutUint64(buf[8:], uint64(b.Timestamp.UnixNano()))
 	h.Write(buf[:])
 	h.Write([]byte(b.PrevHash))
-	for i, t := range b.Txns {
-		if txnHashes != nil {
-			h.Write([]byte(txnHashes[i]))
-		} else {
-			h.Write([]byte(Hash(t)))
-		}
+	var hx [32]byte // one TxnID in hex
+	for i := range b.Txns {
+		id := b.TxnHash(i)
+		hex.Encode(hx[:], id[:])
+		h.Write(hx[:])
 	}
 	return fmt.Sprintf("%x", h.Sum(nil)[:16])
 }
@@ -121,16 +136,17 @@ func (c *Chain) AppendBlock(height int64, txns []Txn) (*Block, error) {
 }
 
 // AppendBlockHashed is AppendBlock for producers that already hold the
-// per-transaction hashes (e.g. computed in parallel while the block
-// was assembled): txnHashes[i] must equal Hash(txns[i]), index-aligned
-// with txns, or nil to compute them here. The resulting block is
-// byte-identical to an AppendBlock of the same transactions.
-func (c *Chain) AppendBlockHashed(height int64, txns []Txn, txnHashes []string) (*Block, error) {
+// transaction IDs (e.g. computed in parallel while the block was
+// assembled): ids[i] must equal IDOf(txns[i]), index-aligned with
+// txns, or nil to compute them here. The block keeps a copy, so the
+// caller may reuse ids; it is byte-identical to an AppendBlock of the
+// same transactions.
+func (c *Chain) AppendBlockHashed(height int64, txns []Txn, ids []TxnID) (*Block, error) {
 	if tip := c.Height(); height <= tip {
 		return nil, fmt.Errorf("chain: height %d not beyond tip %d", height, tip)
 	}
-	if txnHashes != nil && len(txnHashes) != len(txns) {
-		return nil, fmt.Errorf("chain: %d txn hashes for %d txns", len(txnHashes), len(txns))
+	if ids != nil && len(ids) != len(txns) {
+		return nil, fmt.Errorf("chain: %d txn IDs for %d txns", len(ids), len(txns))
 	}
 	// Validate-all-then-apply-all is not sufficient when later txns
 	// depend on earlier ones in the same block (add_gateway then
@@ -150,18 +166,26 @@ func (c *Chain) AppendBlockHashed(height int64, txns []Txn, txnHashes []string) 
 	}
 	c.ledger.mu.Unlock()
 
-	c.mu.Lock()
-	prev := ""
-	if len(c.blocks) > 0 {
-		prev = c.blocks[len(c.blocks)-1].Hash
-	}
+	// Hash outside c.mu: readers (tails, BlockAt) keep running while a
+	// large block's transactions are encoded.
 	b := &Block{
 		Height:    height,
 		Timestamp: c.TimeOf(height),
-		PrevHash:  prev,
 		Txns:      txns,
+		ids:       make([]TxnID, len(txns)),
 	}
-	b.Hash = b.computeHash(txnHashes)
+	if ids != nil {
+		copy(b.ids, ids)
+	} else {
+		for i, t := range txns {
+			b.ids[i] = IDOf(t)
+		}
+	}
+	c.mu.Lock()
+	if len(c.blocks) > 0 {
+		b.PrevHash = c.blocks[len(c.blocks)-1].Hash
+	}
+	b.Hash = b.computeHash()
 	c.blocks = append(c.blocks, b)
 	c.mu.Unlock()
 	c.grown.Broadcast()

@@ -92,11 +92,9 @@ func (b *Block) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &w); err != nil {
 		return err
 	}
-	b.Height = w.Height
-	b.Timestamp = w.Timestamp
-	b.PrevHash = w.PrevHash
-	b.Hash = w.Hash
-	b.Txns = make([]Txn, len(w.Txns))
+	// A whole-value assignment, so no kept IDs of a previous block
+	// survive into this one.
+	*b = Block{Height: w.Height, Timestamp: w.Timestamp, PrevHash: w.PrevHash, Hash: w.Hash, Txns: make([]Txn, len(w.Txns))}
 	for i, env := range w.Txns {
 		t, err := newTxn(env.Type)
 		if err != nil {

@@ -25,24 +25,38 @@ type Txn interface {
 	apply(l *Ledger, height int64)
 }
 
-// Hash returns a content hash for any transaction, used as its ID. It
-// hashes the type tag plus the binary wire encoding — injective per
-// variant (length-prefixed strings, fixed-width numbers), and an order
-// of magnitude cheaper than marshalling JSON, which matters because
-// every generated transaction is hashed once for its block hash. The
-// encode buffer comes from hashBufs, so hashing a rewards transaction
-// does not regrow a fresh buffer to hundreds of KB each time.
-func Hash(t Txn) string {
+// TxnID is a transaction's ID as raw bytes: the first 16 bytes of
+// the SHA-256 of its type tag plus binary wire encoding. Hash is its
+// hex form.
+type TxnID [16]byte
+
+// String returns the ID's hex form, the string Hash returns.
+func (id TxnID) String() string { return hex.EncodeToString(id[:]) }
+
+// IDOf hashes a transaction to its ID. The encoding is injective per
+// variant (length-prefixed strings, fixed-width numbers) and an order
+// of magnitude cheaper than marshalling JSON. A chain hashes each
+// transaction once, when it admits the block, and keeps the ID on the
+// block (Block.TxnHash), so readers of appended blocks never hash
+// again. The encode buffer comes from hashBufs, so hashing a rewards
+// transaction does not regrow a fresh buffer to hundreds of KB each
+// time.
+func IDOf(t Txn) TxnID {
 	w := hashBufs.Get().(*wire.Writer)
 	w.Buf = w.Buf[:0]
 	w.U8(uint8(t.TxnType()))
 	encodeTxn(w, t)
 	sum := sha256.Sum256(w.Buf)
 	hashBufs.Put(w)
-	return hex.EncodeToString(sum[:16])
+	return TxnID(sum[:16])
 }
 
-// hashBufs pools Hash's encode buffers.
+// Hash returns a transaction's ID in hex, the form listings and
+// block hashes use. It hashes t afresh; for a transaction on an
+// appended block, Block.TxnHash returns the ID the chain kept.
+func Hash(t Txn) string { return IDOf(t).String() }
+
+// hashBufs pools IDOf's encode buffers.
 var hashBufs = sync.Pool{New: func() any { return &wire.Writer{Buf: make([]byte, 0, 256)} }}
 
 // AddGateway registers a new hotspot (§3). Gateway and Owner are

@@ -140,6 +140,8 @@ type TxnRec struct {
 	Type   string    `json:"type"`
 	Hash   string    `json:"hash"`
 	Txn    chain.Txn `json:"txn"`
+
+	id chain.TxnID // set by the shard; the merge formats it into Hash
 }
 
 func (r TxnRec) cursor() Cursor { return Cursor{Height: r.Height, Seq: r.Seq} }
@@ -164,9 +166,10 @@ type Partial struct {
 	// lossy, and each transaction lives on exactly one shard, so
 	// summing the full tallies keeps the federated ranking exact.
 	Actors []ActorCount
-	// Txns is the shard's page in chain order. Shards leave each
-	// record's Hash unset; the merge hashes only the records that
-	// make the merged page.
+	// Txns is the shard's page in chain order. Shards set each
+	// record's ID as the upstream chain kept it and leave Hash unset;
+	// the merge formats Hash only for the records that make the
+	// merged page.
 	Txns []TxnRec
 	// More reports the shard had further matching transactions beyond
 	// its page limit.

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"errors"
+	"fmt"
 	"sync"
 
 	"peoplesnet/internal/chain"
@@ -143,20 +144,26 @@ func (n *Node) header(b *chain.Block) *chain.Block {
 // ones inherited on disk from a previous incarnation miss (the map
 // keys on pointer identity, and decoded blocks carry fresh pointers),
 // so their whole height is rebuilt from the source on first touch.
-func (n *Node) seqOf(height int64, t chain.Txn) int32 {
+// A height the rebuild cannot recover is an error, never seq 0.
+func (n *Node) seqOf(height int64, t chain.Txn) (int32, error) {
 	n.mu.RLock()
 	s, ok := n.seq[t]
 	n.mu.RUnlock()
 	if ok {
-		return s
+		return s, nil
 	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	if s, ok := n.seq[t]; ok {
-		return s
+		return s, nil
 	}
-	n.rebuildSeqLocked(height)
-	return n.seq[t]
+	if err := n.rebuildSeqLocked(height); err != nil {
+		return 0, err
+	}
+	if s, ok := n.seq[t]; ok {
+		return s, nil
+	}
+	return 0, fmt.Errorf("fed: shard %d: height %d: transaction not in its upstream block", n.id, height)
 }
 
 // rebuildSeqLocked recovers the seq entries for one height after a
@@ -164,19 +171,24 @@ func (n *Node) seqOf(height int64, t chain.Txn) int32 {
 // it again yields the owned transactions' original indexes in kept
 // order, which maps one-to-one onto the stored block's transactions —
 // filter is deterministic and Append preserved its order.
-func (n *Node) rebuildSeqLocked(height int64) {
+func (n *Node) rebuildSeqLocked(height int64) error {
 	up := n.src.BlockAt(height)
+	if up == nil {
+		return fmt.Errorf("fed: shard %d: upstream block %d unavailable", n.id, height)
+	}
 	sb := n.store.BlockAt(height)
-	if up == nil || sb == nil {
-		return
+	if sb == nil {
+		return fmt.Errorf("fed: shard %d: stored block %d unavailable", n.id, height)
 	}
 	_, seqs := n.filter(up)
 	if len(seqs) != len(sb.Txns) {
-		return
+		return fmt.Errorf("fed: shard %d: height %d: upstream block keeps %d transactions, store holds %d",
+			n.id, height, len(seqs), len(sb.Txns))
 	}
 	for i, t := range sb.Txns {
 		n.seq[t] = seqs[i]
 	}
+	return nil
 }
 
 // Err returns the node's first error — a crash's cause or the

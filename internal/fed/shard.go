@@ -2,6 +2,7 @@ package fed
 
 import (
 	"context"
+	"fmt"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
@@ -154,6 +155,13 @@ func topActors(ctx context.Context, n *Node, q Query, p *Partial) error {
 	})
 }
 
+// txns pages the shard's matching transactions in chain order. Each
+// record carries its upstream coordinates (height, seq) and the ID
+// the upstream chain kept for it, read from the upstream block once
+// per distinct height on the page; the merge turns IDs into hex only
+// for the records that make the merged page. A record whose seq or
+// ID cannot be recovered fails the query, so the router reports the
+// shard missing rather than list it at a wrong position.
 func txns(ctx context.Context, n *Node, q Query, p *Partial) error {
 	limit := q.pageLimit()
 	r := q.Range
@@ -163,8 +171,15 @@ func txns(ctx context.Context, n *Node, q Query, p *Partial) error {
 	}
 	qr := q
 	qr.Range = r
+	var up *chain.Block // upstream block of the last listed record
+	var ferr error
 	err := scan(ctx, n, qr, func(h int64, t chain.Txn) bool {
-		rec := TxnRec{Height: h, Seq: n.seqOf(h, t), Type: t.TxnType().String(), Txn: t}
+		seq, err := n.seqOf(h, t)
+		if err != nil {
+			ferr = err
+			return false
+		}
+		rec := TxnRec{Height: h, Seq: seq, Type: t.TxnType().String(), Txn: t}
 		if rec.cursor().before(q.Cursor) {
 			return true
 		}
@@ -172,8 +187,19 @@ func txns(ctx context.Context, n *Node, q Query, p *Partial) error {
 			p.More = true
 			return false
 		}
+		if up == nil || up.Height != h {
+			up = n.src.BlockAt(h)
+		}
+		if up == nil || int(seq) >= len(up.Txns) {
+			ferr = fmt.Errorf("fed: shard %d: no upstream transaction at (%d, %d)", n.id, h, seq)
+			return false
+		}
+		rec.id = up.TxnHash(int(seq))
 		p.Txns = append(p.Txns, rec)
 		return true
 	})
-	return err
+	if err != nil {
+		return err
+	}
+	return ferr
 }

@@ -154,10 +154,10 @@ func (kwayMergeStrategy) Merge(q Query, parts []*Partial, res *Result) {
 		if best < 0 {
 			break
 		}
-		// Shards leave Hash unset; only the records on the merged page
-		// pay for encoding and hashing.
+		// Shards ship raw IDs; only the records on the merged page pay
+		// for the hex.
 		rec := parts[best].Txns[idx[best]]
-		rec.Hash = chain.Hash(rec.Txn)
+		rec.Hash = rec.id.String()
 		res.Txns = append(res.Txns, rec)
 		idx[best]++
 	}

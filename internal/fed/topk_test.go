@@ -126,30 +126,114 @@ func TestTopActorsResultCapped(t *testing.T) {
 	}
 }
 
-// TestMergedTxnHashes: shards leave TxnRec.Hash unset, and the merge
-// fills it in for every record on the page, on every page of a walk.
-func TestMergedTxnHashes(t *testing.T) {
-	c := testChain(t)
-	cl := testCluster(t, c, ByRegion(4), Options{CacheSize: -1})
-	q := Query{Kind: KindTxns, Range: etl.Range{From: c.Height() / 2, To: -1}, Limit: 50}
-	for page := 0; page < 5; page++ {
+// walkHashes pages q through cl for up to pages pages, requiring every
+// page to equal the reference's and every record's Hash to be the hex
+// ID of its transaction. It returns the records walked.
+func walkHashes(t *testing.T, cl *Cluster, blocks []*chain.Block, q Query, pages int) []TxnRec {
+	t.Helper()
+	var walked []TxnRec
+	for page := 0; page < pages; page++ {
 		res, err := cl.Query(context.Background(), q)
 		if err != nil {
 			t.Fatal(err)
 		}
+		if len(res.Missing) > 0 {
+			t.Fatalf("page %d: shards %v missing", page, res.Missing)
+		}
 		if len(res.Txns) == 0 {
 			t.Fatalf("page %d is empty", page)
 		}
+		assertSameResult(t, fmt.Sprintf("page %d", page), res, Reference(blocks, q))
 		for i, rec := range res.Txns {
 			if want := chain.Hash(rec.Txn); rec.Hash != want {
-				t.Errorf("page %d txn %d: hash %q, want %q", page, i, rec.Hash, want)
+				t.Fatalf("page %d txn %d: hash %q, want %q", page, i, rec.Hash, want)
 			}
 		}
+		walked = append(walked, res.Txns...)
 		if !res.HasMore {
 			break
 		}
 		q.Cursor = res.Next
 	}
+	return walked
+}
+
+// rewardsHeavyActor returns the account the most rewards transactions
+// name: its history is mostly rewards records, each the ID of a
+// transaction hundreds of entries long.
+func rewardsHeavyActor(c *chain.Chain) string {
+	counts := map[string]int{}
+	best := ""
+	c.ScanType(chain.TxnRewards, func(_ int64, t chain.Txn) bool {
+		seen := map[string]bool{}
+		for _, e := range t.(*chain.Rewards).Entries {
+			if e.Account == "" || seen[e.Account] {
+				continue
+			}
+			seen[e.Account] = true
+			if counts[e.Account]++; counts[e.Account] > counts[best] ||
+				(counts[e.Account] == counts[best] && e.Account < best) {
+				best = e.Account
+			}
+		}
+		return true
+	})
+	return best
+}
+
+// TestMergedTxnHashes: shards ship the IDs the upstream chain kept,
+// and the merge formats every record on the page as the hex ID of its
+// transaction, on every page of a walk. Covered: a window listing, an
+// actor history that is mostly rewards records, and a durable cluster
+// after a kill, whose restarted shards serve blocks they decoded from
+// disk (fresh pointers, their seq maps rebuilt from the source).
+func TestMergedTxnHashes(t *testing.T) {
+	c := testChain(t)
+	blocks := c.Blocks()
+	window := Query{Kind: KindTxns, Range: etl.Range{From: c.Height() / 2, To: -1}, Limit: 50}
+	actor := rewardsHeavyActor(c)
+	history := Query{Kind: KindTxns, Range: etl.All(), Filter: etl.Filter{Actors: []string{actor}}, Limit: 50}
+
+	t.Run("window", func(t *testing.T) {
+		cl := testCluster(t, c, ByRegion(4), Options{CacheSize: -1})
+		walkHashes(t, cl, blocks, window, 5)
+	})
+	t.Run("rewards-actor", func(t *testing.T) {
+		cl := testCluster(t, c, ByRegion(4), Options{CacheSize: -1})
+		recs := walkHashes(t, cl, blocks, history, 3)
+		rewards := 0
+		for _, rec := range recs {
+			if rec.Type == chain.TxnRewards.String() {
+				rewards++
+			}
+		}
+		if 2*rewards <= len(recs) {
+			t.Fatalf("actor %s: %d of %d records are rewards, want most", actor, rewards, len(recs))
+		}
+	})
+	t.Run("durable-after-kill", func(t *testing.T) {
+		h := newChaosHarness(t, 4, 0x1d5, false)
+		cl := FollowChain(c, ByRegion(4), h.options())
+		defer cl.Close()
+		cl.Supervise(fastSupervision())
+		chaosWait(t, cl, c.Height())
+		// Kill every shard, so every record comes off a restarted one.
+		var before []*Node
+		for id := range cl.slots {
+			before = append(before, cl.slots[id].current())
+			if err := cl.Kill(ShardID(id)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		chaosWait(t, cl, c.Height())
+		for id, sl := range cl.slots {
+			if n := sl.current(); n == nil || n == before[id] {
+				t.Fatalf("shard %d was not restarted", id)
+			}
+		}
+		walkHashes(t, cl, blocks, window, 5)
+		walkHashes(t, cl, blocks, history, 3)
+	})
 }
 
 // TestSelectTopK checks the heap selection against a full sort on

@@ -36,18 +36,18 @@ import (
 // the simulation steps. Emitted transactions must be fully built:
 // mutating one after emit would desynchronize it from its hash.
 type dayBuffer struct {
-	txns   []chain.Txn
-	hashes []string
+	txns []chain.Txn
+	ids  []chain.TxnID
 }
 
 func (b *dayBuffer) emit(t chain.Txn) {
 	b.txns = append(b.txns, t)
-	b.hashes = append(b.hashes, chain.Hash(t))
+	b.ids = append(b.ids, chain.IDOf(t))
 }
 
 func (b *dayBuffer) reset() {
 	b.txns = b.txns[:0]
-	b.hashes = b.hashes[:0]
+	b.ids = b.ids[:0]
 }
 
 // addOrder is the coordinator's instruction to a region: finish a

@@ -91,8 +91,8 @@ type simulator struct {
 	dayDataDC     map[string]int64
 
 	// flush scratch, reused across days.
-	mergedTxns   []chain.Txn
-	mergedHashes []string
+	mergedTxns []chain.Txn
+	mergedIDs  []chain.TxnID
 }
 
 type ouiState struct {
@@ -327,15 +327,17 @@ func (s *simulator) stepOutages(day int) {
 
 // flushDay merges the day's buffers — coordinator early, regions in
 // region order, coordinator late — and appends the sequence as hourly
-// blocks, mapping merged index i of n to hour i·24/n. Per-transaction
-// hashes were computed at emission (on the worker goroutines for
-// region transactions), so the append path only hashes block headers.
+// blocks, mapping merged index i of n to hour i·24/n. Transaction IDs
+// were computed at emission (on the worker goroutines for region
+// transactions), so the append path only hashes block headers; the
+// chain keeps its own copy of each block's IDs, since mergedIDs is
+// reused every day.
 func (s *simulator) flushDay(day int) error {
 	s.mergedTxns = s.mergedTxns[:0]
-	s.mergedHashes = s.mergedHashes[:0]
+	s.mergedIDs = s.mergedIDs[:0]
 	appendBuf := func(b *dayBuffer) {
 		s.mergedTxns = append(s.mergedTxns, b.txns...)
-		s.mergedHashes = append(s.mergedHashes, b.hashes...)
+		s.mergedIDs = append(s.mergedIDs, b.ids...)
 	}
 	appendBuf(&s.earlyBuf)
 	for _, r := range s.regions {
@@ -356,7 +358,7 @@ func (s *simulator) flushDay(day int) error {
 		}
 		txns := append([]chain.Txn(nil), s.mergedTxns[i:j]...)
 		height := int64(day*24+hour)*60 + 2 // +2 clears the genesis block at height 1
-		if _, err := s.c.AppendBlockHashed(height, txns, s.mergedHashes[i:j]); err != nil {
+		if _, err := s.c.AppendBlockHashed(height, txns, s.mergedIDs[i:j]); err != nil {
 			return err
 		}
 		i = j
