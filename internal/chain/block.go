@@ -117,16 +117,6 @@ func (c *Chain) TimeOf(height int64) time.Time {
 	return c.Genesis.Add(time.Duration(height) * BlockIntervalSec * time.Second)
 }
 
-// HeightOf returns the block height corresponding to a wall-clock
-// time (clamped at 0).
-func (c *Chain) HeightOf(t time.Time) int64 {
-	h := int64(t.Sub(c.Genesis) / (BlockIntervalSec * time.Second))
-	if h < 0 {
-		h = 0
-	}
-	return h
-}
-
 // AppendBlock validates all txns against the ledger and appends a new
 // block at the given height. Heights must be strictly increasing but
 // may be sparse. If any transaction fails validation, no state

@@ -99,12 +99,6 @@ func TestTimeHeightConversion(t *testing.T) {
 	if got := ts.Sub(DefaultGenesis); got != 24*time.Hour {
 		t.Fatalf("TimeOf(1440) offset = %v", got)
 	}
-	if c.HeightOf(ts) != 1440 {
-		t.Fatalf("HeightOf round trip = %d", c.HeightOf(ts))
-	}
-	if c.HeightOf(DefaultGenesis.Add(-time.Hour)) != 0 {
-		t.Fatal("pre-genesis height not clamped")
-	}
 }
 
 func TestChainSerializationRoundTrip(t *testing.T) {

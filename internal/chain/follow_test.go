@@ -178,77 +178,3 @@ func TestConcurrentProducerReaders(t *testing.T) {
 		t.Fatalf("txn count = %d", c.TxnCount())
 	}
 }
-
-func TestLedgerExpiredChannels(t *testing.T) {
-	l := NewLedger()
-	l.ApplyTxn(&OUIRegistration{OUI: 1, Owner: "router"}, 1)
-	l.CreditDC("router", 10_000)
-	// Three channels with staggered deadlines.
-	for i, within := range []int64{100, 200, 300} {
-		open := &StateChannelOpen{ID: string(rune('a' + i)), Owner: "router", OUI: 1, AmountDC: 10, ExpireWithin: within}
-		if err := l.ApplyTxn(open, 10); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if exp := l.ExpiredChannels(50); len(exp) != 0 {
-		t.Fatalf("expired at 50 = %v", exp)
-	}
-	// Deadline is inclusive: height == expireBlock counts as expired.
-	if exp := l.ExpiredChannels(110); len(exp) != 1 || exp[0] != "a" {
-		t.Fatalf("expired at 110 = %v", exp)
-	}
-	if exp := l.ExpiredChannels(250); len(exp) != 2 {
-		t.Fatalf("expired at 250 = %v", exp)
-	}
-	// Output is sorted for determinism.
-	exp := l.ExpiredChannels(1000)
-	if len(exp) != 3 || exp[0] != "a" || exp[1] != "b" || exp[2] != "c" {
-		t.Fatalf("expired at 1000 = %v", exp)
-	}
-	// Closing removes a channel from the expired set.
-	if err := l.ApplyTxn(&StateChannelClose{ID: "a", Owner: "router"}, 120); err != nil {
-		t.Fatal(err)
-	}
-	if exp := l.ExpiredChannels(1000); len(exp) != 2 {
-		t.Fatalf("expired after close = %v", exp)
-	}
-}
-
-func TestLedgerTakePendingData(t *testing.T) {
-	l := NewLedger()
-	l.ApplyTxn(&OUIRegistration{OUI: 1, Owner: "router"}, 1)
-	l.ApplyTxn(&AddGateway{Gateway: "hs1", Owner: "w"}, 2)
-	l.ApplyTxn(&AddGateway{Gateway: "hs2", Owner: "w"}, 2)
-	l.CreditDC("router", 10_000)
-
-	if got := l.TakePendingData(); len(got) != 0 {
-		t.Fatalf("fresh ledger pending = %v", got)
-	}
-	// Two closes accumulate per-hotspot DC across channels.
-	l.ApplyTxn(&StateChannelOpen{ID: "s1", Owner: "router", OUI: 1, AmountDC: 500, ExpireWithin: 100}, 10)
-	l.ApplyTxn(&StateChannelOpen{ID: "s2", Owner: "router", OUI: 1, AmountDC: 500, ExpireWithin: 100}, 10)
-	l.ApplyTxn(&StateChannelClose{ID: "s1", Owner: "router", Summaries: []SCSummary{
-		{Hotspot: "hs1", Packets: 5, DC: 50},
-		{Hotspot: "hs2", Packets: 1, DC: 10},
-	}}, 20)
-	l.ApplyTxn(&StateChannelClose{ID: "s2", Owner: "router", Summaries: []SCSummary{
-		{Hotspot: "hs1", Packets: 2, DC: 25},
-	}}, 21)
-
-	got := l.TakePendingData()
-	if got["hs1"] != 75 || got["hs2"] != 10 {
-		t.Fatalf("pending = %v", got)
-	}
-	// Drained: a second take is empty, and later closes start fresh.
-	if got := l.TakePendingData(); len(got) != 0 {
-		t.Fatalf("pending after drain = %v", got)
-	}
-	l.ApplyTxn(&StateChannelOpen{ID: "s3", Owner: "router", OUI: 1, AmountDC: 100, ExpireWithin: 100}, 30)
-	l.ApplyTxn(&StateChannelClose{ID: "s3", Owner: "router", Summaries: []SCSummary{
-		{Hotspot: "hs2", Packets: 1, DC: 7},
-	}}, 31)
-	got = l.TakePendingData()
-	if len(got) != 1 || got["hs2"] != 7 {
-		t.Fatalf("pending after refill = %v", got)
-	}
-}

@@ -85,8 +85,9 @@ type Ledger struct {
 	channels map[string]*channelState
 	nextOUI  uint32
 
-	// pendingData accumulates DC credited per hotspot since the last
-	// rewards epoch, used to apportion data-transfer rewards.
+	// pendingData accumulates DC credited per hotspot by state-channel
+	// closes. Nothing reads it back; it stays because ledger.ckpt
+	// encodes it.
 	pendingData map[string]int64
 
 	validators map[string]string // validator address → staking owner
@@ -269,44 +270,6 @@ func (l *Ledger) OUIs() []OUIRecord {
 	return out
 }
 
-// OpenChannels returns the IDs of currently open state channels.
-func (l *Ledger) OpenChannels() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make([]string, 0, len(l.channels))
-	for id := range l.channels {
-		out = append(out, id)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ExpiredChannels returns channels whose deadline has passed at
-// height. Routers are responsible for closing them (§5.1).
-func (l *Ledger) ExpiredChannels(height int64) []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	var out []string
-	for id, ch := range l.channels {
-		if height >= ch.expireBlock {
-			out = append(out, id)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TakePendingData drains and returns per-hotspot DC accumulated since
-// the last call; the rewards scheduler uses it to apportion
-// data-transfer rewards.
-func (l *Ledger) TakePendingData() map[string]int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	out := l.pendingData
-	l.pendingData = make(map[string]int64)
-	return out
-}
-
 // Totals reports aggregate monetary counters.
 type Totals struct {
 	DCBurned       int64
@@ -325,22 +288,4 @@ func (l *Ledger) MoneyTotals() Totals {
 		HNTBurnedBones: l.hntBurnedBones,
 		StakedBones:    l.stakedBones,
 	}
-}
-
-// ConsensusGroupMembers returns the current block-producer set.
-func (l *Ledger) ConsensusGroupMembers() []string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return append([]string(nil), l.consensus...)
-}
-
-// Validators returns validator address → staking owner.
-func (l *Ledger) Validators() map[string]string {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	out := make(map[string]string, len(l.validators))
-	for k, v := range l.validators {
-		out[k] = v
-	}
-	return out
 }

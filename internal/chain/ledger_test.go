@@ -220,14 +220,8 @@ func TestStateChannelLifecycle(t *testing.T) {
 	if l.GetAccount("router").DC != 400 {
 		t.Fatalf("stake not deducted: %d", l.GetAccount("router").DC)
 	}
-	if got := l.OpenChannels(); len(got) != 1 || got[0] != "sc1" {
-		t.Fatalf("open channels = %v", got)
-	}
-	if exp := l.ExpiredChannels(100); len(exp) != 0 {
-		t.Fatal("channel expired early")
-	}
-	if exp := l.ExpiredChannels(250); len(exp) != 1 {
-		t.Fatal("channel not expired at deadline")
+	if ch := l.channels["sc1"]; len(l.channels) != 1 || ch == nil || ch.expireBlock != 250 {
+		t.Fatalf("open channels = %v", l.channels)
 	}
 
 	cl := &StateChannelClose{ID: "sc1", Owner: "router", Summaries: []SCSummary{
@@ -247,14 +241,10 @@ func TestStateChannelLifecycle(t *testing.T) {
 	if h.DataPackets != 42 {
 		t.Fatal("hotspot packet count not credited")
 	}
-	pending := l.TakePendingData()
-	if pending["hs1"] != 100 {
-		t.Fatalf("pending data = %v", pending)
+	if l.pendingData["hs1"] != 100 {
+		t.Fatalf("pending data = %v", l.pendingData)
 	}
-	if len(l.TakePendingData()) != 0 {
-		t.Fatal("TakePendingData did not drain")
-	}
-	if len(l.OpenChannels()) != 0 {
+	if len(l.channels) != 0 {
 		t.Fatal("channel still open after close")
 	}
 }
@@ -386,9 +376,8 @@ func TestStakeValidator(t *testing.T) {
 	if l.MoneyTotals().StakedBones != StakeValidatorBones {
 		t.Fatal("stake not tallied")
 	}
-	vs := l.Validators()
-	if vs["v1"] != "op" {
-		t.Fatalf("validators = %v", vs)
+	if l.validators["v1"] != "op" {
+		t.Fatalf("validators = %v", l.validators)
 	}
 	// Double-stake of the same validator rejected.
 	if err := l.ApplyTxn(&StakeValidator{Owner: "op", Validator: "v1"}, 2); err == nil {
@@ -411,13 +400,12 @@ func TestConsensusGroup(t *testing.T) {
 	if err := l.ApplyTxn(&ConsensusGroup{Epoch: 1, Members: []string{"a", "b", "c"}}, 1); err != nil {
 		t.Fatal(err)
 	}
-	got := l.ConsensusGroupMembers()
-	if len(got) != 3 || got[0] != "a" {
+	if got := l.consensus; len(got) != 3 || got[0] != "a" {
 		t.Fatalf("members = %v", got)
 	}
 	// A later group replaces the set.
 	l.ApplyTxn(&ConsensusGroup{Epoch: 2, Members: []string{"x"}}, 30)
-	if got := l.ConsensusGroupMembers(); len(got) != 1 || got[0] != "x" {
+	if got := l.consensus; len(got) != 1 || got[0] != "x" {
 		t.Fatalf("members after rotation = %v", got)
 	}
 }

@@ -117,9 +117,6 @@ const (
 	// per the blockchain-core check the paper quotes (footnote 9).
 	StateChannelMinBlocks = 10
 	StateChannelMaxBlocks = 10_080 // one week of one-minute blocks
-	// StateChannelGraceBlocks is the dispute window after a close in
-	// which omitted hotspots may file a signed demand.
-	StateChannelGraceBlocks = 10
 )
 
 // PoC protocol constants.

@@ -9,8 +9,6 @@ import (
 	"crypto/ed25519"
 	"crypto/sha256"
 	"encoding/base32"
-	"errors"
-	"fmt"
 
 	"peoplesnet/internal/stats"
 )
@@ -54,15 +52,6 @@ func AddressOf(pub ed25519.PublicKey) string {
 	return AddressPrefix + addrEncoding.EncodeToString(sum[:20])
 }
 
-// ValidAddress reports whether s is syntactically a simulated address.
-func ValidAddress(s string) bool {
-	if len(s) < len(AddressPrefix)+4 || s[:len(AddressPrefix)] != AddressPrefix {
-		return false
-	}
-	raw, err := addrEncoding.DecodeString(s[len(AddressPrefix):])
-	return err == nil && len(raw) == 20
-}
-
 // Sign returns a detached ed25519 signature over msg.
 func (k *Keypair) Sign(msg []byte) []byte {
 	return ed25519.Sign(k.private, msg)
@@ -71,22 +60,4 @@ func (k *Keypair) Sign(msg []byte) []byte {
 // Verify checks sig over msg against pub.
 func Verify(pub ed25519.PublicKey, msg, sig []byte) bool {
 	return len(pub) == ed25519.PublicKeySize && ed25519.Verify(pub, msg, sig)
-}
-
-// ErrBadSignature is returned by VerifyStrict on failure.
-var ErrBadSignature = errors.New("chainkey: signature verification failed")
-
-// VerifyStrict is Verify returning a descriptive error.
-func VerifyStrict(pub ed25519.PublicKey, msg, sig []byte) error {
-	if !Verify(pub, msg, sig) {
-		return fmt.Errorf("%w (pubkey %x…)", ErrBadSignature, shortPrefix(pub))
-	}
-	return nil
-}
-
-func shortPrefix(b []byte) []byte {
-	if len(b) > 4 {
-		return b[:4]
-	}
-	return b
 }

@@ -357,30 +357,6 @@ func TestISPBanImpact(t *testing.T) {
 	}
 }
 
-func TestLightTransition(t *testing.T) {
-	d := testDataset(t)
-	none := d.AssessLightTransition(0)
-	if none.VisibleAfter != none.VisibleBefore {
-		t.Fatal("zero conversion changed visibility")
-	}
-	half := d.AssessLightTransition(0.5)
-	frac := float64(half.VisibleAfter) / float64(half.VisibleBefore)
-	if frac < 0.4 || frac > 0.6 {
-		t.Fatalf("half conversion left %v visible", frac)
-	}
-	if half.RelayedLost == 0 {
-		t.Fatal("no relayed hotspots lost to the transition")
-	}
-	all := d.AssessLightTransition(1)
-	if all.VisibleAfter != 0 {
-		t.Fatalf("full conversion left %d visible", all.VisibleAfter)
-	}
-	empty := (&Dataset{}).AssessLightTransition(0.5)
-	if empty.VisibleBefore != 0 {
-		t.Fatal("nil peerbook mishandled")
-	}
-}
-
 func TestBalanceHistoryHeuristic(t *testing.T) {
 	d := testDataset(t)
 	o := d.AnalyzeOwnership()

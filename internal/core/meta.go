@@ -161,53 +161,6 @@ func (d *Dataset) AssessISPBan(isp, country string) BanImpact {
 	return b
 }
 
-// LightTransition quantifies the paper's footnote-10 warning: once
-// HIP25 validators ship and hotspots convert to "light" nodes, only
-// validators keep a fully connected p2p graph, and the §6 analyses
-// lose sight of converted hotspots.
-type LightTransition struct {
-	ConvertFrac float64
-	// VisibleBefore/After count peerbook entries observable by a
-	// DeWi-style monitor.
-	VisibleBefore int
-	VisibleAfter  int
-	// RelayedLost counts relayed (NAT'd) hotspots that disappear from
-	// the relay analysis entirely.
-	RelayedLost int
-}
-
-// AssessLightTransition simulates converting convertFrac of the swarm
-// to light nodes (deterministically by peer-ID hash, so the result is
-// reproducible without an RNG).
-func (d *Dataset) AssessLightTransition(convertFrac float64) LightTransition {
-	lt := LightTransition{ConvertFrac: convertFrac}
-	if d.Peerbook == nil {
-		return lt
-	}
-	threshold := uint32(convertFrac * 4294967295)
-	for _, e := range d.Peerbook.Entries() {
-		lt.VisibleBefore++
-		h := fnv32(string(e.Peer))
-		if h <= threshold {
-			if e.Addr.Relayed() {
-				lt.RelayedLost++
-			}
-			continue // converted: invisible
-		}
-		lt.VisibleAfter++
-	}
-	return lt
-}
-
-func fnv32(s string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(s); i++ {
-		h ^= uint32(s[i])
-		h *= 16777619
-	}
-	return h
-}
-
 // RelayAnalysis reproduces §6.2 / Figures 10 and 11.
 type RelayAnalysis struct {
 	Stats p2p.RelayStats

@@ -293,16 +293,3 @@ func (s PriceSeries) At(t time.Time) float64 {
 	}
 	return s.Prices[d]
 }
-
-// ArbitrageProfitPerDC returns how many USD of HNT one spammed DC of
-// self-traffic yielded under the pre-HIP10 rules, given the share of
-// total epoch traffic the spammer controls. Values far above the
-// $0.00001 cost of the DC are what made spamming profitable (§5.3.2).
-func ArbitrageProfitPerDC(split RewardSplit, usdPerHNT float64, spammerDC, totalDC int64) float64 {
-	if totalDC <= 0 || spammerDC <= 0 {
-		return 0
-	}
-	poolHNT := float64(EpochMintBones()) / chain.BonesPerHNT * split.Data
-	shareHNT := poolHNT * float64(spammerDC) / float64(totalDC)
-	return shareHNT * usdPerHNT / float64(spammerDC)
-}

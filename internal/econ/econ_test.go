@@ -202,18 +202,6 @@ func TestPriceSeries(t *testing.T) {
 	}
 }
 
-func TestArbitrageProfit(t *testing.T) {
-	split := DefaultSplit()
-	// A spammer controlling 90% of a small traffic day at $0.50/HNT.
-	profit := ArbitrageProfitPerDC(split, 0.5, 9_000, 10_000)
-	if profit <= chain.USDPerDC {
-		t.Fatalf("arbitrage profit %v per DC not above cost %v", profit, chain.USDPerDC)
-	}
-	if ArbitrageProfitPerDC(split, 0.5, 0, 100) != 0 || ArbitrageProfitPerDC(split, 0.5, 10, 0) != 0 {
-		t.Fatal("degenerate inputs should yield 0")
-	}
-}
-
 func TestHIP10Dates(t *testing.T) {
 	if !DCPaymentsLiveDate.Before(HIP10Date) {
 		t.Fatal("arbitrage window inverted")

@@ -1,8 +1,6 @@
 package fed
 
 import (
-	"sync"
-
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/stats"
 )
@@ -17,28 +15,15 @@ type Strategy interface {
 	Merge(q Query, parts []*Partial, res *Result)
 }
 
-var (
-	strategyMu sync.RWMutex
-	strategies = map[Kind]Strategy{
-		KindCount:     sumStrategy{},
-		KindMix:       mixMergeStrategy{},
-		KindTopActors: topKMergeStrategy{},
-		KindTxns:      kwayMergeStrategy{},
-	}
-)
-
-// RegisterStrategy replaces the aggregation strategy for a query
-// kind, for deployments that want e.g. sampled or sketched merges.
-func RegisterStrategy(k Kind, s Strategy) {
-	strategyMu.Lock()
-	defer strategyMu.Unlock()
-	strategies[k] = s
+var strategies = map[Kind]Strategy{
+	KindCount:     sumStrategy{},
+	KindMix:       mixMergeStrategy{},
+	KindTopActors: topKMergeStrategy{},
+	KindTxns:      kwayMergeStrategy{},
 }
 
-// StrategyFor returns the registered strategy for a kind.
+// StrategyFor returns the strategy for a kind.
 func StrategyFor(k Kind) Strategy {
-	strategyMu.RLock()
-	defer strategyMu.RUnlock()
 	return strategies[k]
 }
 

@@ -85,20 +85,6 @@ func Destination(p Point, bearingDeg, distKm float64) Point {
 	return Point{Lat: rad2deg(lat2), Lon: rad2deg(lon2)}
 }
 
-// Midpoint returns the great-circle midpoint of a and b.
-func Midpoint(a, b Point) Point {
-	lat1, lon1 := deg2rad(a.Lat), deg2rad(a.Lon)
-	lat2, lon2 := deg2rad(b.Lat), deg2rad(b.Lon)
-	dLon := lon2 - lon1
-	bx := math.Cos(lat2) * math.Cos(dLon)
-	by := math.Cos(lat2) * math.Sin(dLon)
-	lat3 := math.Atan2(math.Sin(lat1)+math.Sin(lat2),
-		math.Sqrt((math.Cos(lat1)+bx)*(math.Cos(lat1)+bx)+by*by))
-	lon3 := lon1 + math.Atan2(by, math.Cos(lat1)+bx)
-	lon3 = math.Mod(lon3+3*math.Pi, 2*math.Pi) - math.Pi
-	return Point{Lat: rad2deg(lat3), Lon: rad2deg(lon3)}
-}
-
 // BoundingBox is an axis-aligned lat/lon rectangle. It does not handle
 // antimeridian crossing; the study's regions (CONUS, metro areas) do
 // not cross it.

@@ -95,18 +95,6 @@ func TestInitialBearingCardinal(t *testing.T) {
 	}
 }
 
-func TestMidpoint(t *testing.T) {
-	m := Midpoint(Point{0, 0}, Point{0, 10})
-	if math.Abs(m.Lat) > 0.001 || math.Abs(m.Lon-5) > 0.001 {
-		t.Fatalf("midpoint = %v", m)
-	}
-	d1 := HaversineKm(sanDiego, Midpoint(sanDiego, chicago))
-	d2 := HaversineKm(chicago, Midpoint(sanDiego, chicago))
-	if math.Abs(d1-d2) > 1 {
-		t.Fatalf("midpoint not equidistant: %v vs %v", d1, d2)
-	}
-}
-
 func TestPointValidity(t *testing.T) {
 	if !(Point{45, 45}).Valid() {
 		t.Error("valid point rejected")

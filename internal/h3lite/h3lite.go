@@ -4,10 +4,10 @@
 // edge — paper §4.1).
 //
 // Like H3, h3lite assigns every (lat, lon) at every resolution 0–15 a
-// 64-bit cell ID, supports cell→centroid decoding, neighbor and ring
-// traversal, grid distance, and approximate parent lookup. Unlike real
-// H3 it lays pointy-top hexagons on a global equirectangular lattice
-// rather than projecting an icosahedron gnomonically. The consequence
+// 64-bit cell ID, supports cell→centroid decoding and approximate
+// parent lookup. Unlike real H3 it lays pointy-top hexagons on a
+// global equirectangular lattice rather than projecting an icosahedron
+// gnomonically. The consequence
 // is the same one the paper notes for H3 itself (footnote 7): cell
 // area varies with position — here with cos(latitude) — which is
 // irrelevant to analyses conducted at distances of hundreds of meters
@@ -37,13 +37,6 @@ const kmPerDeg = 2 * math.Pi * geo.EarthRadiusKm / 360
 func EdgeKm(res int) float64 {
 	checkRes(res)
 	return res0EdgeKm / math.Pow(math.Sqrt(7), float64(res))
-}
-
-// HexAreaKm2 returns the (projected) area of a hexagon at the given
-// resolution: 3√3/2 · edge².
-func HexAreaKm2(res int) float64 {
-	e := EdgeKm(res)
-	return 3 * math.Sqrt(3) / 2 * e * e
 }
 
 func checkRes(res int) {
@@ -135,94 +128,6 @@ func (c Cell) Center() geo.Point {
 	x := size * math.Sqrt(3) * (float64(q) + float64(r)/2)
 	y := size * 1.5 * float64(r)
 	return geo.Point{Lat: y / kmPerDeg, Lon: x / kmPerDeg}
-}
-
-// Boundary returns the six vertices of the cell in order.
-func (c Cell) Boundary() []geo.Point {
-	size := EdgeKm(c.Res())
-	center := c.Center()
-	cx := center.Lon * kmPerDeg
-	cy := center.Lat * kmPerDeg
-	verts := make([]geo.Point, 6)
-	for i := 0; i < 6; i++ {
-		angle := math.Pi/180*60*float64(i) + math.Pi/6 // pointy-top
-		x := cx + size*math.Cos(angle)
-		y := cy + size*math.Sin(angle)
-		verts[i] = geo.Point{Lat: y / kmPerDeg, Lon: x / kmPerDeg}
-	}
-	return verts
-}
-
-// axialDirections are the six hex neighbor offsets.
-var axialDirections = [6][2]int64{
-	{1, 0}, {1, -1}, {0, -1}, {-1, 0}, {-1, 1}, {0, 1},
-}
-
-// Neighbors returns the six adjacent cells at the same resolution.
-func (c Cell) Neighbors() [6]Cell {
-	q, r := c.axial()
-	res := c.Res()
-	var out [6]Cell
-	for i, d := range axialDirections {
-		out[i] = makeCell(res, q+d[0], r+d[1])
-	}
-	return out
-}
-
-// Ring returns the cells exactly k steps from c (the "hollow ring").
-// Ring(0) is just c.
-func (c Cell) Ring(k int) []Cell {
-	if k < 0 {
-		panic("h3lite: negative ring radius")
-	}
-	if k == 0 {
-		return []Cell{c}
-	}
-	res := c.Res()
-	q, r := c.axial()
-	// Walk to the ring start: k steps in direction 4.
-	q += axialDirections[4][0] * int64(k)
-	r += axialDirections[4][1] * int64(k)
-	out := make([]Cell, 0, 6*k)
-	for side := 0; side < 6; side++ {
-		for step := 0; step < k; step++ {
-			out = append(out, makeCell(res, q, r))
-			q += axialDirections[side][0]
-			r += axialDirections[side][1]
-		}
-	}
-	return out
-}
-
-// Disk returns all cells within k steps of c (the "filled disk"),
-// 1 + 3k(k+1) cells in total.
-func (c Cell) Disk(k int) []Cell {
-	out := make([]Cell, 0, 1+3*k*(k+1))
-	for i := 0; i <= k; i++ {
-		out = append(out, c.Ring(i)...)
-	}
-	return out
-}
-
-// GridDistance returns the number of hex steps between two cells of
-// the same resolution. It returns -1 if resolutions differ.
-func GridDistance(a, b Cell) int {
-	if a.Res() != b.Res() {
-		return -1
-	}
-	aq, ar := a.axial()
-	bq, br := b.axial()
-	dq := aq - bq
-	dr := ar - br
-	ds := (-aq - ar) - (-bq - br)
-	return int((abs64(dq) + abs64(dr) + abs64(ds)) / 2)
-}
-
-func abs64(x int64) int64 {
-	if x < 0 {
-		return -x
-	}
-	return x
 }
 
 // Parent returns the cell at the coarser resolution parentRes that

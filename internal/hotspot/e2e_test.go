@@ -1,14 +1,13 @@
 package hotspot_test
 
-// Full-stack integration: a device's LoRaWAN frames travel through the
-// real Semtech UDP forwarder protocol to a miner's gateway server,
-// get sold to a real router over state channels, and the router's
-// JoinAccept/ACK downlinks ride PULL_RESP back to the forwarder —
-// every hop the paper's Figure 1 draws, over actual sockets.
+// Full-stack integration: a device's LoRaWAN frames reach a miner,
+// which looks up the owning router in the directory and sells them
+// over state channels; the router's JoinAccept/ACK downlinks come back
+// from HandleUplink to the device. These are the hops of the paper's
+// Figure 1 above the radio, run in process as fieldtest runs them.
 
 import (
 	"testing"
-	"time"
 
 	"peoplesnet/internal/chainkey"
 	"peoplesnet/internal/device"
@@ -19,7 +18,7 @@ import (
 	"peoplesnet/internal/stats"
 )
 
-func TestFullStackOverUDP(t *testing.T) {
+func TestFullStackInProcess(t *testing.T) {
 	rng := stats.NewRNG(1)
 
 	// Cloud side: a Console-style router with a registered device.
@@ -35,68 +34,25 @@ func TestFullStackOverUDP(t *testing.T) {
 	})
 	integ := &router.MemoryIntegration{}
 	rtr.SetIntegration(integ)
-	dir := router.NewDirectory(rtr)
+	miner := hotspot.NewMiner("e2e-hotspot", router.NewDirectory(rtr))
 
-	// Hotspot: miner + gateway server + forwarder, wired over UDP.
-	miner := hotspot.NewMiner("e2e-hotspot", dir)
-	gw, gwAddr, err := hotspot.NewGatewayServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer gw.Close()
-	fwd, err := hotspot.NewForwarder([8]byte{0xE2, 0xE2, 0, 0, 0, 0, 0, 1}, gwAddr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
-	if err := fwd.Pull(); err != nil { // open the downlink path
-		t.Fatal(err)
-	}
-
-	// The miner consumes uplinks from its gateway server and pushes
-	// downlinks back through it — the co-residency the paper explains
-	// in §2.2.
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for up := range gw.Uplinks {
-			dl, _, err := miner.HandleUplink(up.RXPK.Data)
-			if err != nil || dl == nil {
-				continue
-			}
-			gw.SendDownlink(hotspot.TXPK{
-				Imme: true, Freq: 923.3, Powe: 27, Modu: "LORA",
-				Datr: "SF9BW500", Codr: "4/5", Size: len(dl), Data: dl,
-			})
-		}
-	}()
-
-	// radioHop pushes a device transmission through the forwarder as
-	// if the concentrator had decoded it.
-	radioHop := func(frame []byte) {
+	// uplink hands a device transmission to the miner as if the
+	// concentrator had decoded it, and returns the router's downlink.
+	uplink := func(frame []byte) (dl []byte, window int) {
 		t.Helper()
-		if err := fwd.Push(hotspot.RXPK{
-			Tmst: 1, Freq: 904.3, Stat: 1, Modu: "LORA",
-			Datr: "SF9BW125", Codr: "4/5", RSSI: -95, LSNR: 7,
-			Size: len(frame), Data: frame,
-		}); err != nil {
+		dl, window, err := miner.HandleUplink(frame)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	awaitDownlink := func() []byte {
-		t.Helper()
-		select {
-		case dl := <-fwd.Downlinks:
-			return dl.Data
-		case <-time.After(3 * time.Second):
-			t.Fatal("no downlink arrived")
-			return nil
+		if dl == nil {
+			t.Fatal("no downlink returned")
 		}
+		return dl, window
 	}
 
 	// OTAA join across the whole stack.
-	radioHop(dev.BuildJoinRequest())
-	if err := dev.HandleJoinAccept(awaitDownlink()); err != nil {
+	joinAccept, _ := uplink(dev.BuildJoinRequest())
+	if err := dev.HandleJoinAccept(joinAccept); err != nil {
 		t.Fatalf("join accept: %v", err)
 	}
 	if !dev.Joined() {
@@ -110,8 +66,7 @@ func TestFullStackOverUDP(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		radioHop(frame)
-		if acked, err := dev.HandleDownlink(awaitDownlink(), 1); err != nil || !acked {
+		if acked, err := dev.HandleDownlink(uplink(frame)); err != nil || !acked {
 			t.Fatalf("packet %d ack: acked %v, %v", i, acked, err)
 		}
 	}
@@ -123,10 +78,6 @@ func TestFullStackOverUDP(t *testing.T) {
 		}
 	}
 	// Cloud side: payloads delivered, counters intact.
-	deadline := time.Now().Add(2 * time.Second)
-	for integ.Count() < packets && time.Now().Before(deadline) {
-		time.Sleep(10 * time.Millisecond)
-	}
 	msgs := integ.Messages()
 	if len(msgs) != packets {
 		t.Fatalf("app got %d messages, want %d", len(msgs), packets)
@@ -150,12 +101,5 @@ func TestFullStackOverUDP(t *testing.T) {
 	// The router queued real chain transactions for its channel.
 	if txns := rtr.PendingTxns(); len(txns) < 2 {
 		t.Fatalf("router emitted %d txns", len(txns))
-	}
-
-	gw.Close()
-	select {
-	case <-done:
-	case <-time.After(2 * time.Second):
-		t.Fatal("miner loop did not stop")
 	}
 }

@@ -3,141 +3,10 @@ package hotspot
 import (
 	"bytes"
 	"testing"
-	"time"
 
 	"peoplesnet/internal/lorawan"
 	"peoplesnet/internal/statechannel"
 )
-
-func TestDatagramRoundTrips(t *testing.T) {
-	gw := [8]byte{1, 2, 3, 4, 5, 6, 7, 8}
-	cases := []Datagram{
-		{Kind: PushData, Token: 7, Gateway: gw, RXPKs: []RXPK{{
-			Tmst: 1000, Freq: 904.1, Chan: 1, Stat: 1, Modu: "LORA",
-			Datr: "SF9BW125", Codr: "4/5", RSSI: -101, LSNR: 5.5,
-			Size: 4, Data: []byte{0xCA, 0xFE, 0x00, 0x01},
-		}}},
-		{Kind: PullData, Token: 8, Gateway: gw},
-		{Kind: PushAck, Token: 7},
-		{Kind: PullAck, Token: 8},
-		{Kind: TxAck, Token: 9, Gateway: gw},
-		{Kind: PullResp, Token: 10, TXPK: &TXPK{
-			Imme: true, Freq: 923.3, Powe: 27, Modu: "LORA",
-			Datr: "SF9BW500", Codr: "4/5", Size: 3, Data: []byte{1, 2, 3},
-		}},
-	}
-	for _, d := range cases {
-		raw, err := d.Marshal()
-		if err != nil {
-			t.Fatalf("%#x marshal: %v", d.Kind, err)
-		}
-		got, err := ParseDatagram(raw)
-		if err != nil {
-			t.Fatalf("%#x parse: %v", d.Kind, err)
-		}
-		if got.Kind != d.Kind || got.Token != d.Token || got.Gateway != d.Gateway {
-			t.Fatalf("%#x header mismatch: %+v", d.Kind, got)
-		}
-		if d.Kind == PushData {
-			if len(got.RXPKs) != 1 || !bytes.Equal(got.RXPKs[0].Data, d.RXPKs[0].Data) ||
-				got.RXPKs[0].RSSI != -101 {
-				t.Fatalf("rxpk mismatch: %+v", got.RXPKs)
-			}
-		}
-		if d.Kind == PullResp {
-			if got.TXPK == nil || !bytes.Equal(got.TXPK.Data, d.TXPK.Data) || got.TXPK.Freq != 923.3 {
-				t.Fatalf("txpk mismatch: %+v", got.TXPK)
-			}
-		}
-	}
-}
-
-func TestParseDatagramErrors(t *testing.T) {
-	bad := [][]byte{
-		nil,
-		{2, 0},
-		{1, 0, 0, PushData, 0, 0, 0, 0, 0, 0, 0, 0}, // wrong version
-		{2, 0, 0, 0xFF},           // unknown kind
-		{2, 0, 0, PushData, 1, 2}, // short EUI
-		append([]byte{2, 0, 0, PushData, 1, 2, 3, 4, 5, 6, 7, 8}, []byte("notjson")...),
-		append([]byte{2, 0, 0, PullResp}, []byte("still not json")...),
-	}
-	for i, raw := range bad {
-		if _, err := ParseDatagram(raw); err == nil {
-			t.Fatalf("case %d parsed", i)
-		}
-	}
-	// PULL_RESP without txpk cannot marshal.
-	if _, err := (&Datagram{Kind: PullResp}).Marshal(); err == nil {
-		t.Fatal("PULL_RESP without txpk marshalled")
-	}
-	if _, err := (&Datagram{Kind: 0x77}).Marshal(); err == nil {
-		t.Fatal("unknown kind marshalled")
-	}
-}
-
-func TestForwarderMinerUDPExchange(t *testing.T) {
-	server, addr, err := NewGatewayServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-
-	gw := [8]byte{0xAA, 1, 2, 3, 4, 5, 6, 0xBB}
-	fwd, err := NewForwarder(gw, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer fwd.Close()
-
-	// Keepalive first (opens the downlink path), then an uplink.
-	if err := fwd.Pull(); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := WaitAck(fwd.Acks, 2*time.Second); !ok {
-		t.Fatal("no PULL_ACK")
-	}
-	rx := RXPK{Tmst: 42, Freq: 904.3, Stat: 1, Modu: "LORA", Datr: "SF9BW125",
-		Codr: "4/5", RSSI: -99, Size: 2, Data: []byte{0xBE, 0xEF}}
-	if err := fwd.Push(rx); err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := WaitAck(fwd.Acks, 2*time.Second); !ok {
-		t.Fatal("no PUSH_ACK")
-	}
-	select {
-	case up := <-server.Uplinks:
-		if up.Gateway != gw || !bytes.Equal(up.RXPK.Data, []byte{0xBE, 0xEF}) {
-			t.Fatalf("uplink = %+v", up)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("uplink not delivered")
-	}
-
-	// Downlink back through PULL_RESP.
-	if err := server.SendDownlink(TXPK{Imme: true, Freq: 923.3, Size: 1, Data: []byte{0x01}, Modu: "LORA"}); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case dl := <-fwd.Downlinks:
-		if !bytes.Equal(dl.Data, []byte{0x01}) {
-			t.Fatalf("downlink = %+v", dl)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("downlink not delivered")
-	}
-}
-
-func TestSendDownlinkWithoutForwarder(t *testing.T) {
-	server, _, err := NewGatewayServer("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer server.Close()
-	if err := server.SendDownlink(TXPK{Imme: true}); err == nil {
-		t.Fatal("downlink without a known forwarder succeeded")
-	}
-}
 
 // fakeBuyer implements PacketBuyer for miner tests.
 type fakeBuyer struct {
@@ -251,11 +120,5 @@ func TestPacketIDStability(t *testing.T) {
 	}
 	if a == PacketID([]byte{1, 2, 4}) {
 		t.Fatal("packet id collision")
-	}
-}
-
-func TestDatrString(t *testing.T) {
-	if DatrString(9, 125) != "SF9BW125" {
-		t.Fatal(DatrString(9, 125))
 	}
 }

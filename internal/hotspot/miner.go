@@ -1,3 +1,10 @@
+// Package hotspot implements the miner half of a Helium hotspot
+// (§2.2): it bridges received LoRa frames to routers through the
+// state-channel offer/purchase protocol and returns the downlink the
+// router wants sent in a class-A receive window. The paper's hotspot
+// also runs a Semtech packet forwarder on the same box; its
+// fire-and-forget backhaul is modelled as packet loss by fieldtest's
+// BackhaulDropProb, not by a socket layer here.
 package hotspot
 
 import (
@@ -43,7 +50,7 @@ type MinerStats struct {
 }
 
 // Miner is the blockchain half of a hotspot: it prices and sells
-// received frames to routers and queues downlinks for the forwarder.
+// received frames to routers and hands back their downlinks.
 type Miner struct {
 	Address string
 	dir     RouterDirectory

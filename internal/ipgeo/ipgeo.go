@@ -2,9 +2,8 @@
 // backhaul that §6 of the paper measures with zannotate, Route Views,
 // and CAIDA's as2org: an ASN/organization registry, per-city ISP
 // markets with realistic concentration, public-IP vs NAT'd attachment,
-// cloud-hosted ASNs (the validators the paper spots on Digital Ocean
-// and Amazon), and regional outage injection (the 2020 Spectrum Los
-// Angeles outage case).
+// and cloud-hosted ASNs (the validators the paper spots on Digital
+// Ocean and Amazon).
 package ipgeo
 
 import (
@@ -65,14 +64,11 @@ type ISP struct {
 }
 
 // Registry is the synthetic Internet: ISPs, their ASNs and prefixes,
-// and helpers to attach subscribers and resolve IPs back to ASNs (the
-// zannotate step).
+// and helpers to attach subscribers.
 type Registry struct {
-	mu      sync.Mutex
-	isps    []*ISP
-	byASN   map[uint32]*ISP
-	nextIP  map[uint32]uint32 // per-ASN host counter
-	outages map[string]bool   // "ISPName/City" → down
+	mu     sync.Mutex
+	isps   []*ISP
+	nextIP map[uint32]uint32 // per-ASN host counter
 }
 
 // majorISPs reproduces Table 1's cast with country tags and access
@@ -104,11 +100,7 @@ var majorISPs = []ISP{
 // tail of small regional providers (the paper sees 454 ASNs total,
 // most hosting one or two hotspots — Fig 9).
 func NewRegistry(rng *stats.RNG, tailASNs int) *Registry {
-	r := &Registry{
-		byASN:   make(map[uint32]*ISP),
-		nextIP:  make(map[uint32]uint32),
-		outages: make(map[string]bool),
-	}
+	r := &Registry{nextIP: make(map[uint32]uint32)}
 	asn := uint32(7000)
 	addISP := func(tpl ISP) *ISP {
 		isp := tpl
@@ -120,7 +112,6 @@ func NewRegistry(rng *stats.RNG, tailASNs int) *Registry {
 		isp.prefix = netip.PrefixFrom(netip.AddrFrom4([4]byte{hi, lo, 0, 0}), 16)
 		asn++
 		r.isps = append(r.isps, &isp)
-		r.byASN[isp.ASN] = &isp
 		return &isp
 	}
 	for _, tpl := range majorISPs {
@@ -142,23 +133,6 @@ func NewRegistry(rng *stats.RNG, tailASNs int) *Registry {
 
 // ISPs returns all providers.
 func (r *Registry) ISPs() []*ISP { return r.isps }
-
-// ByASN resolves an ASN to its ISP (the as2org step).
-func (r *Registry) ByASN(asn uint32) (*ISP, bool) {
-	isp, ok := r.byASN[asn]
-	return isp, ok
-}
-
-// LookupIP resolves an address back to its announcing ASN (the
-// zannotate step). Returns 0 if no synthetic prefix contains it.
-func (r *Registry) LookupIP(addr netip.Addr) uint32 {
-	for _, isp := range r.isps {
-		if isp.prefix.Contains(addr) {
-			return isp.ASN
-		}
-	}
-	return 0
-}
 
 // Market is the set of ISPs serving one city, with local shares.
 type Market struct {
@@ -318,27 +292,6 @@ func (r *Registry) allocIP(isp *ISP) netip.Addr {
 	return netip.AddrFrom4([4]byte{base[0], base[1], byte(n >> 8), byte(n)})
 }
 
-// SetOutage marks an ISP down (or up) in a city. While down,
-// IsDown(isp, city) is true; the simulator knocks affected hotspots
-// offline, reproducing the Spectrum/Los Angeles scenario (§6.1).
-func (r *Registry) SetOutage(ispName, city string, down bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	key := ispName + "/" + city
-	if down {
-		r.outages[key] = true
-	} else {
-		delete(r.outages, key)
-	}
-}
-
-// IsDown reports whether the ISP is in outage in the city.
-func (r *Registry) IsDown(ispName, city string) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.outages[ispName+"/"+city]
-}
-
 // TopISPs tallies attachments by ISP name and returns the n providers
 // with the most public-IP hotspots, descending — Table 1.
 func TopISPs(atts []Attachment, n int) []ISPCount {
@@ -368,33 +321,5 @@ func TopISPs(atts []Attachment, n int) []ISPCount {
 // ISPCount is one row of Table 1.
 type ISPCount struct {
 	Name     string
-	Hotspots int
-}
-
-// ASNDistribution tallies attachments by ASN, descending — Fig 9.
-func ASNDistribution(atts []Attachment) []ASNCount {
-	counts := make(map[uint32]int)
-	for _, a := range atts {
-		if a.NATed || a.ASN == 0 {
-			continue
-		}
-		counts[a.ASN]++
-	}
-	out := make([]ASNCount, 0, len(counts))
-	for asn, c := range counts {
-		out = append(out, ASNCount{ASN: asn, Hotspots: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hotspots != out[j].Hotspots {
-			return out[i].Hotspots > out[j].Hotspots
-		}
-		return out[i].ASN < out[j].ASN
-	})
-	return out
-}
-
-// ASNCount is one point of Fig 9.
-type ASNCount struct {
-	ASN      uint32
 	Hotspots int
 }

@@ -1,7 +1,6 @@
 package ipgeo
 
 import (
-	"net/netip"
 	"testing"
 
 	"peoplesnet/internal/stats"
@@ -27,29 +26,19 @@ func TestRegistrySize(t *testing.T) {
 	}
 }
 
-func TestByASNAndLookupIP(t *testing.T) {
+func TestAttachPublicIPInPrefix(t *testing.T) {
 	r, rng := newReg(2)
 	spectrum := r.ISPs()[0]
 	if spectrum.Name != "Spectrum" {
 		t.Fatalf("first ISP = %s", spectrum.Name)
 	}
-	got, ok := r.ByASN(spectrum.ASN)
-	if !ok || got.Name != "Spectrum" {
-		t.Fatal("ByASN failed")
-	}
-	if _, ok := r.ByASN(999999); ok {
-		t.Fatal("unknown ASN resolved")
-	}
-	// Allocate an IP and resolve it back (the zannotate step).
+	// A public line gets an address from its provider's prefix.
 	att := r.Attach(Market{City: "x", ISPs: []*ISP{spectrum}}, rng)
 	for att.NATed { // retry until we land a public line
 		att = r.Attach(Market{City: "x", ISPs: []*ISP{spectrum}}, rng)
 	}
-	if asn := r.LookupIP(att.PublicIP); asn != spectrum.ASN {
-		t.Fatalf("LookupIP(%v) = %d, want %d", att.PublicIP, asn, spectrum.ASN)
-	}
-	if r.LookupIP(netip.MustParseAddr("8.8.8.8")) != 0 {
-		t.Fatal("foreign IP resolved to an ASN")
+	if att.ASN != spectrum.ASN || !spectrum.prefix.Contains(att.PublicIP) {
+		t.Fatalf("public IP %v (ASN %d) not in %v (ASN %d)", att.PublicIP, att.ASN, spectrum.prefix, spectrum.ASN)
 	}
 }
 
@@ -153,56 +142,6 @@ func TestMarketsDiffer(t *testing.T) {
 	// should give a large single-provider fraction.
 	if singles < n/4 {
 		t.Fatalf("only %d/%d single-provider cities", singles, n)
-	}
-}
-
-func TestOutage(t *testing.T) {
-	r, _ := newReg(8)
-	if r.IsDown("Spectrum", "Los Angeles") {
-		t.Fatal("outage before SetOutage")
-	}
-	r.SetOutage("Spectrum", "Los Angeles", true)
-	if !r.IsDown("Spectrum", "Los Angeles") {
-		t.Fatal("outage not recorded")
-	}
-	if r.IsDown("Spectrum", "San Diego") || r.IsDown("Comcast", "Los Angeles") {
-		t.Fatal("outage leaked to other keys")
-	}
-	r.SetOutage("Spectrum", "Los Angeles", false)
-	if r.IsDown("Spectrum", "Los Angeles") {
-		t.Fatal("outage not cleared")
-	}
-}
-
-func TestASNDistribution(t *testing.T) {
-	r, rng := newReg(9)
-	market := Market{City: "c", ISPs: r.ISPs()[:5]}
-	var atts []Attachment
-	for i := 0; i < 3000; i++ {
-		atts = append(atts, r.Attach(market, rng))
-	}
-	dist := ASNDistribution(atts)
-	if len(dist) == 0 || len(dist) > 5 {
-		t.Fatalf("distribution over %d ASNs", len(dist))
-	}
-	for i := 1; i < len(dist); i++ {
-		if dist[i].Hotspots > dist[i-1].Hotspots {
-			t.Fatal("distribution not sorted descending")
-		}
-	}
-	// NAT'd attachments are excluded (they have no public IP to map).
-	total := 0
-	for _, d := range dist {
-		total += d.Hotspots
-	}
-	public := 0
-	for _, a := range atts {
-		if !a.NATed {
-			public++
-		}
-	}
-	if total != public {
-		t.Fatalf("distribution total %d != public %d", total, public)
 	}
 }
 

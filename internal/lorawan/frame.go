@@ -61,11 +61,6 @@ func (m MType) Uplink() bool {
 	return m == JoinRequestType || m == UnconfirmedDataUp || m == ConfirmedDataUp
 }
 
-// Confirmed reports whether the message type demands an ACK.
-func (m MType) Confirmed() bool {
-	return m == ConfirmedDataUp || m == ConfirmedDataDown
-}
-
 // EUI64 is an 8-byte extended unique identifier (DevEUI / AppEUI).
 type EUI64 [8]byte
 

@@ -126,9 +126,6 @@ func TestMTypeHelpers(t *testing.T) {
 	if !ConfirmedDataUp.Uplink() || ConfirmedDataDown.Uplink() {
 		t.Fatal("Uplink classification wrong")
 	}
-	if !ConfirmedDataUp.Confirmed() || UnconfirmedDataUp.Confirmed() {
-		t.Fatal("Confirmed classification wrong")
-	}
 	if JoinRequestType.String() != "JoinRequest" || MType(6).String() != "MType(6)" {
 		t.Fatal("String() wrong")
 	}

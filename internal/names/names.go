@@ -67,8 +67,3 @@ func FromAddress(address string) string {
 func Slug(name string) string {
 	return strings.ToLower(strings.ReplaceAll(name, " ", "-"))
 }
-
-// Combinations returns the size of the name space.
-func Combinations() int {
-	return len(adjectives) * len(colors) * len(animals)
-}

@@ -37,7 +37,7 @@ func TestSlug(t *testing.T) {
 }
 
 func TestCombinations(t *testing.T) {
-	if Combinations() < 100000 {
-		t.Fatalf("name space too small: %d", Combinations())
+	if n := len(adjectives) * len(colors) * len(animals); n < 100000 {
+		t.Fatalf("name space too small: %d", n)
 	}
 }

@@ -2,9 +2,8 @@
 // paper analyses: peer identities, the two peerbook listen-address
 // formats (/ip4/… for publicly reachable hotspots and
 // /p2p/…/p2p-circuit/… for NAT'd hotspots behind libp2p circuit
-// relays), relay selection policies, and — for integration testing — a
-// real TCP transport in which relays actually forward bytes between
-// peers on the loopback interface.
+// relays), and relay selection policies. It models the peerbook §6.2
+// reads; no transport carries bytes between peers.
 package p2p
 
 import (

@@ -105,56 +105,6 @@ func (c *Canvas) PlotMajority(pts []geo.Point, marks []rune) {
 	}
 }
 
-// PlotAll marks every point with ch.
-func (c *Canvas) PlotAll(pts []geo.Point, ch rune) {
-	for _, p := range pts {
-		c.Plot(p, ch)
-	}
-}
-
-// FillPolygon marks every cell whose center lies inside pg, without
-// overwriting non-space cells (so outlines and dots stay visible).
-func (c *Canvas) FillPolygon(pg geo.Polygon, ch rune) {
-	if len(pg.Vertices) < 3 {
-		return
-	}
-	b := pg.Bounds()
-	for row := 0; row < c.H; row++ {
-		lat := c.bounds.MaxLat - (c.bounds.MaxLat-c.bounds.MinLat)*float64(row)/float64(c.H-1)
-		if lat < b.MinLat || lat > b.MaxLat {
-			continue
-		}
-		for col := 0; col < c.W; col++ {
-			lon := c.bounds.MinLon + (c.bounds.MaxLon-c.bounds.MinLon)*float64(col)/float64(c.W-1)
-			if lon < b.MinLon || lon > b.MaxLon {
-				continue
-			}
-			if c.cells[row][col] == ' ' && pg.Contains(geo.Point{Lat: lat, Lon: lon}) {
-				c.cells[row][col] = ch
-			}
-		}
-	}
-}
-
-// Outline draws the polygon's edge cells.
-func (c *Canvas) Outline(pg geo.Polygon, ch rune) {
-	n := len(pg.Vertices)
-	if n < 2 {
-		return
-	}
-	for i := 0; i < n; i++ {
-		a, b := pg.Vertices[i], pg.Vertices[(i+1)%n]
-		steps := c.W + c.H
-		for s := 0; s <= steps; s++ {
-			f := float64(s) / float64(steps)
-			c.Plot(geo.Point{
-				Lat: a.Lat + (b.Lat-a.Lat)*f,
-				Lon: a.Lon + (b.Lon-a.Lon)*f,
-			}, ch)
-		}
-	}
-}
-
 // String renders the canvas with a border.
 func (c *Canvas) String() string {
 	var sb strings.Builder

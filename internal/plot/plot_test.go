@@ -64,30 +64,6 @@ func TestFitCanvasCoversPoints(t *testing.T) {
 	}
 }
 
-func TestFillAndOutlinePolygon(t *testing.T) {
-	b := geo.BoundingBox{MinLat: 0, MinLon: 0, MaxLat: 10, MaxLon: 10}
-	c := NewCanvas(b, 30, 15)
-	square := geo.NewPolygon([]geo.Point{{Lat: 2, Lon: 2}, {Lat: 2, Lon: 8}, {Lat: 8, Lon: 8}, {Lat: 8, Lon: 2}})
-	c.FillPolygon(square, '~')
-	if !strings.Contains(c.String(), "~") {
-		t.Fatal("fill missing")
-	}
-	// A dot plotted before the fill survives it.
-	c2 := NewCanvas(b, 30, 15)
-	c2.Plot(geo.Point{Lat: 5, Lon: 5}, '*')
-	c2.FillPolygon(square, '~')
-	if !strings.Contains(c2.String(), "*") {
-		t.Fatal("fill overwrote existing mark")
-	}
-	c3 := NewCanvas(b, 30, 15)
-	c3.Outline(square, '#')
-	if strings.Count(c3.String(), "#") < 8 {
-		t.Fatal("outline too sparse")
-	}
-	// Degenerate polygon: no panic, no cells.
-	c3.FillPolygon(geo.Polygon{}, 'x')
-}
-
 func TestDensityRamp(t *testing.T) {
 	b := geo.BoundingBox{MinLat: 0, MinLon: 0, MaxLat: 10, MaxLon: 10}
 	d := NewDensity(b, 20, 10)

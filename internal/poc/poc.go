@@ -1,14 +1,12 @@
 // Package poc implements Helium's Proof-of-Coverage protocol (§2.3):
-// challenge scheduling, beacon transmission over the radio model,
-// witness collection, and the on-chain witness validity rules (§8.2.1)
+// beacon transmission over the radio model, witness collection, and
+// the on-chain witness validity rules (§8.2.1)
 // — plus the cheating behaviours the paper's §7 case studies uncover
 // (silent movers, RSSI forgers, gossip cliques), so that the incentive
 // audit has something real to find.
 package poc
 
 import (
-	"fmt"
-
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/geo"
 	"peoplesnet/internal/h3lite"
@@ -45,12 +43,6 @@ type Site struct {
 	Env      radio.Environment
 	GainDBi  float64
 	Cheat    CheatProfile
-}
-
-// SilentMover reports whether the site's physical location has drifted
-// more than thresholdKm from its asserted location.
-func (s *Site) SilentMover(thresholdKm float64) bool {
-	return geo.HaversineKm(s.Asserted, s.Actual) > thresholdKm
 }
 
 // Engine runs challenges over a fleet of sites.
@@ -251,51 +243,4 @@ func (e *Engine) JudgeWitness(challengee *Site, witnessAsserted geo.Point, rep c
 		return false, "pentagonal_distortion"
 	}
 	return true, ""
-}
-
-// Scheduler tracks which hotspots may challenge at a given block,
-// enforcing the 480-block spacing (§7.1).
-type Scheduler struct {
-	IntervalBlocks int64
-	last           map[string]int64
-}
-
-// NewScheduler returns a scheduler with the production interval.
-func NewScheduler() *Scheduler {
-	return &Scheduler{IntervalBlocks: chain.PoCChallengeIntervalBlocks, last: make(map[string]int64)}
-}
-
-// Eligible reports whether the hotspot may issue a challenge at
-// height.
-func (s *Scheduler) Eligible(addr string, height int64) bool {
-	last, ok := s.last[addr]
-	return !ok || height-last >= s.IntervalBlocks
-}
-
-// Record notes that the hotspot challenged at height.
-func (s *Scheduler) Record(addr string, height int64) { s.last[addr] = height }
-
-// PickChallengee selects a random online site other than the
-// challenger (challenges "can be acted on any other hotspot in the
-// world", §2.3).
-func PickChallengee(f *Fleet, challenger *Site, rng *stats.RNG) (*Site, error) {
-	online := 0
-	for _, s := range f.Sites {
-		if s.Online && s != challenger {
-			online++
-		}
-	}
-	if online == 0 {
-		return nil, fmt.Errorf("poc: no eligible challengee")
-	}
-	k := rng.Intn(online)
-	for _, s := range f.Sites {
-		if s.Online && s != challenger {
-			if k == 0 {
-				return s, nil
-			}
-			k--
-		}
-	}
-	return nil, fmt.Errorf("poc: unreachable")
 }

@@ -287,24 +287,3 @@ func Delivered(rssiDBm float64, sf SpreadingFactor, bw Bandwidth, rng *stats.RNG
 		return rng.Bool(p)
 	}
 }
-
-// MaxRangeKm returns the distance at which the link's median RSSI
-// falls to the sensitivity at sf/bw, found by bisection. It answers
-// "how far can this environment carry LoRa", e.g. the Murata guidance
-// of 15–20 km line-of-sight the paper quotes (§8.2.1).
-func (l Link) MaxRangeKm(sf SpreadingFactor, bw Bandwidth) float64 {
-	sens := Sensitivity(sf, bw)
-	lo, hi := 0.001, 1000.0
-	if l.RSSI(hi, nil) >= sens {
-		return hi
-	}
-	for i := 0; i < 60; i++ {
-		mid := (lo + hi) / 2
-		if l.RSSI(mid, nil) >= sens {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return lo
-}

@@ -140,22 +140,19 @@ func TestLinkRSSIAndRange(t *testing.T) {
 		TxPowerDBm: 27, TxGainDBi: 3, RxGainDBi: 3,
 		Model: NewPathLoss(FreeSpace, 915),
 	}
+	sens := Sensitivity(SF12, BW125)
 	// Free space: generous range, tens of km at SF12.
-	r := link.MaxRangeKm(SF12, BW125)
-	if r < 15 {
-		t.Fatalf("free-space SF12 range = %v km, want > 15", r)
+	if rssi := link.RSSI(15, nil); rssi < sens {
+		t.Fatalf("free-space RSSI at 15 km = %v, below SF12 sensitivity %v", rssi, sens)
 	}
 	// Urban range collapses to a few km.
 	urban := link
 	urban.Model = NewPathLoss(Urban, 915)
-	ru := urban.MaxRangeKm(SF12, BW125)
-	if ru >= r || ru > 10 || ru < 0.5 {
-		t.Fatalf("urban SF12 range = %v km (free space %v)", ru, r)
+	if rssi := urban.RSSI(0.5, nil); rssi < sens {
+		t.Fatalf("urban RSSI at 0.5 km = %v, below SF12 sensitivity %v", rssi, sens)
 	}
-	// RSSI at the range boundary equals sensitivity.
-	rssi := urban.RSSI(ru, nil)
-	if math.Abs(rssi-Sensitivity(SF12, BW125)) > 0.1 {
-		t.Fatalf("RSSI at max range = %v", rssi)
+	if rssi := urban.RSSI(10, nil); rssi >= sens {
+		t.Fatalf("urban RSSI at 10 km = %v, not below SF12 sensitivity %v", rssi, sens)
 	}
 }
 

@@ -1,13 +1,6 @@
 package router
 
-import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"net/http"
-	"sync"
-	"time"
-)
+import "sync"
 
 // MemoryIntegration buffers delivered messages in memory — the default
 // application sink for simulations and tests.
@@ -36,58 +29,4 @@ func (m *MemoryIntegration) Count() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.msgs)
-}
-
-// HTTPIntegration POSTs each message as JSON to an endpoint — the
-// Console's HTTP integration (§2.1: payloads reach application users
-// "via HTTP (or numerous other means)").
-type HTTPIntegration struct {
-	URL    string
-	Client *http.Client
-}
-
-// NewHTTPIntegration builds an HTTP integration with a short timeout.
-func NewHTTPIntegration(url string) *HTTPIntegration {
-	return &HTTPIntegration{
-		URL:    url,
-		Client: &http.Client{Timeout: 5 * time.Second},
-	}
-}
-
-// wireMessage is the JSON shape posted to the application.
-type wireMessage struct {
-	UserID  string  `json:"user_id"`
-	DevEUI  string  `json:"dev_eui"`
-	DevAddr string  `json:"dev_addr"`
-	FCnt    uint16  `json:"fcnt"`
-	FPort   uint8   `json:"fport"`
-	Payload []byte  `json:"payload"`
-	Hotspot string  `json:"hotspot"`
-	RSSI    float64 `json:"rssi"`
-}
-
-// Deliver implements Integration.
-func (h *HTTPIntegration) Deliver(msg AppMessage) error {
-	body, err := json.Marshal(wireMessage{
-		UserID:  msg.UserID,
-		DevEUI:  msg.DevEUI.String(),
-		DevAddr: msg.DevAddr.String(),
-		FCnt:    msg.FCnt,
-		FPort:   msg.FPort,
-		Payload: msg.Payload,
-		Hotspot: msg.Hotspot,
-		RSSI:    msg.RSSI,
-	})
-	if err != nil {
-		return err
-	}
-	resp, err := h.Client.Post(h.URL, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("router: integration endpoint returned %s", resp.Status)
-	}
-	return nil
 }

@@ -87,7 +87,6 @@ type Router struct {
 	nextAddr  uint32
 	scNonce   int64
 	channel   *statechannel.Channel
-	height    int64
 	pending   []chain.Txn
 	delivered map[string]bool // packetID → already delivered to app
 	blocklist *statechannel.Blocklist
@@ -176,29 +175,6 @@ func (r *Router) OwnsDevEUI(e lorawan.EUI64) bool {
 	return ok
 }
 
-// OnBlock advances the router's view of chain height, closing expired
-// channels (routers are responsible for closing, §5.1).
-func (r *Router) OnBlock(height int64) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.height = height
-	if r.channel != nil && height >= r.channel.ExpiresAt {
-		r.pending = append(r.pending, r.channel.Close(nil))
-		r.channel = nil
-	}
-}
-
-// CloseChannelNow force-closes the active channel (the Console's
-// ~120-block early close habit, Fig 8).
-func (r *Router) CloseChannelNow() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.channel != nil {
-		r.pending = append(r.pending, r.channel.Close(nil))
-		r.channel = nil
-	}
-}
-
 // PendingTxns drains transactions the router wants on chain.
 func (r *Router) PendingTxns() []chain.Txn {
 	r.mu.Lock()
@@ -214,7 +190,7 @@ func (r *Router) ensureChannel() *statechannel.Channel {
 	if r.channel == nil {
 		r.scNonce++
 		ch, openTxn := statechannel.Open(r.cfg.Owner, r.cfg.OUI, r.scNonce,
-			r.cfg.ChannelStakeDC, r.height, r.cfg.ChannelLifetimeBlocks)
+			r.cfg.ChannelStakeDC, r.cfg.ChannelLifetimeBlocks)
 		r.channel = ch
 		r.pending = append(r.pending, openTxn)
 	}
@@ -241,7 +217,7 @@ func (r *Router) OfferPacket(o statechannel.Offer) (statechannel.Purchase, bool)
 	if err != nil {
 		if err == statechannel.ErrChannelExhausted {
 			// Roll the channel and retry once.
-			r.pending = append(r.pending, ch.Close(nil))
+			r.pending = append(r.pending, ch.Close())
 			r.channel = nil
 			p, err = r.ensureChannel().Buy(o, r.cfg.MaxCopies, r.cfg.Keys)
 		}
@@ -380,26 +356,6 @@ func (r *Router) windowFor(latencySec float64) int {
 	default:
 		return 0
 	}
-}
-
-// HandleDemand arbitrates a hotspot's grace-period claim that a close
-// omitted its purchases (§5.1). A demand backed by validly signed
-// purchases amends the close and queues the amended transaction; a
-// demand the router's own key cannot verify is a lie, and the only
-// recourse the protocol gives the router is the blocklist.
-func (r *Router) HandleDemand(cl *chain.StateChannelClose, d statechannel.Demand, closeHeight, demandHeight int64) (*chain.StateChannelClose, bool) {
-	if !statechannel.WithinGrace(closeHeight, demandHeight) {
-		return cl, false
-	}
-	amended, ok := statechannel.Arbitrate(cl, d, r.cfg.Keys.Public)
-	if !ok {
-		r.blocklist.Add(d.Hotspot, "invalid state-channel demand")
-		return cl, false
-	}
-	r.mu.Lock()
-	r.pending = append(r.pending, amended)
-	r.mu.Unlock()
-	return amended, true
 }
 
 // Stats reports router counters.

@@ -2,9 +2,6 @@ package router
 
 import (
 	"bytes"
-	"encoding/json"
-	"net/http"
-	"net/http/httptest"
 	"testing"
 
 	"peoplesnet/internal/chain"
@@ -257,41 +254,8 @@ func TestChannelLifecycleTxns(t *testing.T) {
 	if !foundClose || !foundOpen {
 		t.Fatalf("channel roll txns = %v", kinds)
 	}
-	// Expiry close via OnBlock.
-	r.OnBlock(10_000)
-	txns = r.PendingTxns()
-	if len(txns) != 1 || txns[0].TxnType() != chain.TxnStateChannelClose {
-		t.Fatalf("expiry txns = %v", txns)
-	}
-	// CloseChannelNow with no channel is a no-op.
-	r.CloseChannelNow()
 	if len(r.PendingTxns()) != 0 {
-		t.Fatal("spurious close")
-	}
-}
-
-func TestHTTPIntegration(t *testing.T) {
-	var got wireMessage
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-		json.NewDecoder(req.Body).Decode(&got)
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer srv.Close()
-	integ := NewHTTPIntegration(srv.URL)
-	err := integ.Deliver(AppMessage{UserID: "alice", FCnt: 3, FPort: 2, Payload: []byte{7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.UserID != "alice" || got.FCnt != 3 || len(got.Payload) != 1 {
-		t.Fatalf("posted = %+v", got)
-	}
-	// Failing endpoint reports an error.
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
-		w.WriteHeader(http.StatusInternalServerError)
-	}))
-	defer bad.Close()
-	if err := NewHTTPIntegration(bad.URL).Deliver(AppMessage{}); err == nil {
-		t.Fatal("500 not reported")
+		t.Fatal("pending txns not drained")
 	}
 }
 
@@ -377,86 +341,5 @@ func TestFCntAdvanceRedelivers(t *testing.T) {
 	}
 	if integ.Count() != 3 {
 		t.Fatalf("delivered %d of 3 distinct packets", integ.Count())
-	}
-}
-
-func TestHandleDemandArbitration(t *testing.T) {
-	r := newTestRouter(t, Config{})
-	r.RegisterDevice(Device{DevEUI: devEUI, AppEUI: appEUI, AppKey: testAppKey(), UserID: "u"})
-	addr, keys := join(t, r)
-
-	// Two hotspots sell copies; the router "accidentally" omits one
-	// from its close.
-	var victimPurchases []statechannel.Purchase
-	for i := 0; i < 3; i++ {
-		wire := uplink(addr, keys, uint16(i+1), false, []byte{byte(i)})
-		p, ok := r.OfferPacket(statechannel.Offer{
-			Hotspot: "victim", PacketID: string(rune('v' + i)), Bytes: len(wire), DevAddr: uint32(addr),
-		})
-		if !ok {
-			t.Fatal("offer rejected")
-		}
-		r.ReleasePacket(p, wire)
-		victimPurchases = append(victimPurchases, p)
-	}
-	r.CloseChannelNow()
-	var cl *chain.StateChannelClose
-	for _, tx := range r.PendingTxns() {
-		if c, ok := tx.(*chain.StateChannelClose); ok {
-			cl = c
-		}
-	}
-	if cl == nil {
-		t.Fatal("no close emitted")
-	}
-	// Strip the victim from the close to simulate the omission.
-	var stripped chain.StateChannelClose
-	stripped = *cl
-	stripped.Summaries = nil
-	for _, s := range cl.Summaries {
-		if s.Hotspot != "victim" {
-			stripped.Summaries = append(stripped.Summaries, s)
-		}
-	}
-
-	// Valid demand inside the grace window: close amended, txn queued.
-	demand := statechannel.Demand{Hotspot: "victim", ChannelID: cl.ID, Purchases: victimPurchases}
-	amended, ok := r.HandleDemand(&stripped, demand, 100, 105)
-	if !ok {
-		t.Fatal("valid demand rejected")
-	}
-	found := false
-	for _, s := range amended.Summaries {
-		if s.Hotspot == "victim" && s.Packets == 3 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("amended close = %+v", amended.Summaries)
-	}
-	if txns := r.PendingTxns(); len(txns) != 1 || txns[0].TxnType() != chain.TxnStateChannelClose {
-		t.Fatalf("amended close not queued: %v", txns)
-	}
-
-	// Late demand: refused, no blocklist (the window simply closed).
-	if _, ok := r.HandleDemand(&stripped, demand, 100, 200); ok {
-		t.Fatal("late demand accepted")
-	}
-	if r.Blocklist().Blocked("victim") {
-		t.Fatal("late demand blocklisted an honest hotspot")
-	}
-
-	// Forged demand: refused AND blocklisted (§5.1's only recourse).
-	forged := demand
-	forged.Hotspot = "liar"
-	if _, ok := r.HandleDemand(&stripped, forged, 100, 105); ok {
-		t.Fatal("forged demand accepted")
-	}
-	if !r.Blocklist().Blocked("liar") {
-		t.Fatal("lying hotspot not blocklisted")
-	}
-	// And future offers from the liar are refused.
-	if _, ok := r.OfferPacket(statechannel.Offer{Hotspot: "liar", PacketID: "zz", Bytes: 10}); ok {
-		t.Fatal("blocklisted liar's offer accepted")
 	}
 }

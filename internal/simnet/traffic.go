@@ -200,7 +200,6 @@ func (s *simulator) stepRewards(day int) {
 // outage flag remembers which hotspots to restore (permanently-churned
 // hotspots stay down).
 func (s *simulator) setRegionalOutage(ev OutageEvent, down bool) {
-	s.w.Registry.SetOutage(ev.ISP, ev.City, down)
 	for _, h := range s.w.Hotspots {
 		if h.Attachment.ISP == nil || h.Attachment.ISP.Name != ev.ISP {
 			continue

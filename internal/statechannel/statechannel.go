@@ -1,9 +1,8 @@
 // Package statechannel implements the off-chain packet-purchase
 // protocol between hotspots and routers that §5.1 of the paper
 // reverse-engineers: staked channels, per-packet offers and signed
-// purchases, duplicate-copy policies, close summaries, the 10-block
-// dispute grace period for omitted hotspots, and the blocklist that is
-// a router's only recourse against lying hotspots.
+// purchases, duplicate-copy policies, close summaries, and the
+// blocklist that is a router's only recourse against lying hotspots.
 package statechannel
 
 import (
@@ -74,12 +73,10 @@ var (
 
 // Channel is a router's live view of one open state channel.
 type Channel struct {
-	ID        string
-	OUI       uint32
-	Owner     string
-	StakeDC   int64
-	OpenedAt  int64
-	ExpiresAt int64
+	ID      string
+	OUI     uint32
+	Owner   string
+	StakeDC int64
 
 	mu        sync.Mutex
 	spentDC   int64
@@ -92,15 +89,13 @@ type Channel struct {
 
 // Open creates the router-side channel state together with its
 // on-chain open transaction.
-func Open(owner string, oui uint32, nonce int64, stakeDC, openHeight, lifetimeBlocks int64) (*Channel, *chain.StateChannelOpen) {
+func Open(owner string, oui uint32, nonce int64, stakeDC, lifetimeBlocks int64) (*Channel, *chain.StateChannelOpen) {
 	id := chain.SCID(owner, nonce)
 	ch := &Channel{
 		ID:        id,
 		OUI:       oui,
 		Owner:     owner,
 		StakeDC:   stakeDC,
-		OpenedAt:  openHeight,
-		ExpiresAt: openHeight + lifetimeBlocks,
 		summaries: make(map[string]*chain.SCSummary),
 		copies:    make(map[string]int),
 	}
@@ -112,13 +107,6 @@ func Open(owner string, oui uint32, nonce int64, stakeDC, openHeight, lifetimeBl
 		ExpireWithin: lifetimeBlocks,
 	}
 	return ch, txn
-}
-
-// SpentDC returns how much stake has been committed so far.
-func (c *Channel) SpentDC() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.spentDC
 }
 
 // Buy evaluates an offer against the channel: duplicate-copy policy,
@@ -152,85 +140,18 @@ func (c *Channel) Buy(o Offer, maxCopies int, signer *chainkey.Keypair) (Purchas
 	return p, nil
 }
 
-// Close finalizes the channel and emits the close transaction. omit
-// lists hotspots whose summaries the router drops — modelling the
-// §5.1 case of a router omitting a hotspot it believes never delivered
-// (or a dishonest router short-changing one).
-func (c *Channel) Close(omit map[string]bool) *chain.StateChannelClose {
+// Close finalizes the channel and emits the close transaction.
+func (c *Channel) Close() *chain.StateChannelClose {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.closed = true
 	cl := &chain.StateChannelClose{ID: c.ID, Owner: c.Owner}
-	for hs, s := range c.summaries {
-		if omit[hs] {
-			continue
-		}
+	for _, s := range c.summaries {
 		cl.Summaries = append(cl.Summaries, *s)
 	}
 	// Deterministic order for serialization.
-	sortSummaries(cl.Summaries)
+	sort.Slice(cl.Summaries, func(i, j int) bool { return cl.Summaries[i].Hotspot < cl.Summaries[j].Hotspot })
 	return cl
-}
-
-func sortSummaries(ss []chain.SCSummary) {
-	sort.Slice(ss, func(i, j int) bool { return ss[i].Hotspot < ss[j].Hotspot })
-}
-
-// Demand is a hotspot's grace-period claim that a close omitted its
-// purchases (§5.1). It carries the signed purchases as proof.
-type Demand struct {
-	Hotspot   string
-	ChannelID string
-	Purchases []Purchase
-}
-
-// WithinGrace reports whether a demand filed at demandHeight is inside
-// the 10-block window after the close at closeHeight.
-func WithinGrace(closeHeight, demandHeight int64) bool {
-	return demandHeight >= closeHeight && demandHeight-closeHeight <= chain.StateChannelGraceBlocks
-}
-
-// Arbitrate verifies a demand against the close transaction and the
-// router's public key. If the hotspot holds validly signed purchases
-// that the close omitted or under-reported, Arbitrate returns an
-// amended close including them; otherwise it returns the original
-// close and reports the demand invalid (grounds for nothing — lying
-// demands carry no on-chain penalty, which is why routers blocklist).
-func Arbitrate(cl *chain.StateChannelClose, d Demand, routerPub ed25519.PublicKey) (*chain.StateChannelClose, bool) {
-	if d.ChannelID != cl.ID {
-		return cl, false
-	}
-	var packets, dc int64
-	for _, p := range d.Purchases {
-		if p.ChannelID != cl.ID || p.Offer.Hotspot != d.Hotspot || !p.Verify(routerPub) {
-			return cl, false
-		}
-		packets++
-		dc += p.DC
-	}
-	if packets == 0 {
-		return cl, false
-	}
-	for _, s := range cl.Summaries {
-		if s.Hotspot == d.Hotspot && s.Packets >= packets && s.DC >= dc {
-			return cl, false // already fully accounted
-		}
-	}
-	amended := &chain.StateChannelClose{ID: cl.ID, Owner: cl.Owner}
-	replaced := false
-	for _, s := range cl.Summaries {
-		if s.Hotspot == d.Hotspot {
-			amended.Summaries = append(amended.Summaries, chain.SCSummary{Hotspot: d.Hotspot, Packets: packets, DC: dc})
-			replaced = true
-			continue
-		}
-		amended.Summaries = append(amended.Summaries, s)
-	}
-	if !replaced {
-		amended.Summaries = append(amended.Summaries, chain.SCSummary{Hotspot: d.Hotspot, Packets: packets, DC: dc})
-	}
-	sortSummaries(amended.Summaries)
-	return amended, true
 }
 
 // Blocklist is a router's memory of hotspots that lied about sending

@@ -25,7 +25,7 @@ func TestDCForBytes(t *testing.T) {
 
 func TestOpenAndBuy(t *testing.T) {
 	signer := chainkey.Generate(stats.NewRNG(1))
-	ch, openTxn := Open("router", 1, 1, 100, 1000, 240)
+	ch, openTxn := Open("router", 1, 1, 100, 240)
 	if openTxn.ID != ch.ID || openTxn.AmountDC != 100 || openTxn.ExpireWithin != 240 {
 		t.Fatalf("open txn = %+v", openTxn)
 	}
@@ -44,14 +44,14 @@ func TestOpenAndBuy(t *testing.T) {
 	if p.Verify(other.Public) {
 		t.Fatal("purchase verified against wrong key")
 	}
-	if ch.SpentDC() != 1 {
-		t.Fatalf("spent = %d", ch.SpentDC())
+	if ch.spentDC != 1 {
+		t.Fatalf("spent = %d", ch.spentDC)
 	}
 }
 
 func TestDuplicateCopyPolicy(t *testing.T) {
 	signer := chainkey.Generate(stats.NewRNG(3))
-	ch, _ := Open("router", 1, 2, 100, 0, 240)
+	ch, _ := Open("router", 1, 2, 100, 240)
 	o1 := Offer{Hotspot: "hs1", PacketID: "dup", Bytes: 10}
 	o2 := Offer{Hotspot: "hs2", PacketID: "dup", Bytes: 10}
 	if _, err := ch.Buy(o1, 1, signer); err != nil {
@@ -68,7 +68,7 @@ func TestDuplicateCopyPolicy(t *testing.T) {
 
 func TestStakeExhaustion(t *testing.T) {
 	signer := chainkey.Generate(stats.NewRNG(4))
-	ch, _ := Open("router", 1, 3, 2, 0, 240)
+	ch, _ := Open("router", 1, 3, 2, 240)
 	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "1", Bytes: 10}, 0, signer); err != nil {
 		t.Fatal(err)
 	}
@@ -82,12 +82,12 @@ func TestStakeExhaustion(t *testing.T) {
 
 func TestCloseSummaries(t *testing.T) {
 	signer := chainkey.Generate(stats.NewRNG(5))
-	ch, _ := Open("router", 1, 4, 1000, 0, 240)
+	ch, _ := Open("router", 1, 4, 1000, 240)
 	for i := 0; i < 3; i++ {
 		ch.Buy(Offer{Hotspot: "hs-b", PacketID: string(rune('a' + i)), Bytes: 30}, 0, signer)
 	}
 	ch.Buy(Offer{Hotspot: "hs-a", PacketID: "z", Bytes: 10}, 0, signer)
-	cl := ch.Close(nil)
+	cl := ch.Close()
 	if len(cl.Summaries) != 2 {
 		t.Fatalf("summaries = %+v", cl.Summaries)
 	}
@@ -104,70 +104,6 @@ func TestCloseSummaries(t *testing.T) {
 	// Channel refuses further buys.
 	if _, err := ch.Buy(Offer{Hotspot: "x", PacketID: "q", Bytes: 1}, 0, signer); !errors.Is(err, ErrChannelClosed) {
 		t.Fatalf("post-close buy: %v", err)
-	}
-}
-
-func TestCloseOmissionAndDispute(t *testing.T) {
-	signer := chainkey.Generate(stats.NewRNG(6))
-	ch, _ := Open("router", 1, 5, 1000, 0, 240)
-	var purchases []Purchase
-	for i := 0; i < 3; i++ {
-		p, err := ch.Buy(Offer{Hotspot: "victim", PacketID: string(rune('a' + i)), Bytes: 30}, 0, signer)
-		if err != nil {
-			t.Fatal(err)
-		}
-		purchases = append(purchases, p)
-	}
-	ch.Buy(Offer{Hotspot: "other", PacketID: "q", Bytes: 10}, 0, signer)
-	// Router omits the victim.
-	cl := ch.Close(map[string]bool{"victim": true})
-	if len(cl.Summaries) != 1 {
-		t.Fatalf("summaries = %+v", cl.Summaries)
-	}
-	// Victim demands within grace with its signed purchases.
-	d := Demand{Hotspot: "victim", ChannelID: ch.ID, Purchases: purchases}
-	amended, ok := Arbitrate(cl, d, signer.Public)
-	if !ok {
-		t.Fatal("valid demand rejected")
-	}
-	found := false
-	for _, s := range amended.Summaries {
-		if s.Hotspot == "victim" && s.Packets == 3 && s.DC == 6 {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("amended close = %+v", amended.Summaries)
-	}
-	// A demand with forged purchases fails.
-	forged := purchases
-	forged[0].Signature = make([]byte, 64)
-	if _, ok := Arbitrate(cl, Demand{Hotspot: "victim", ChannelID: ch.ID, Purchases: forged}, signer.Public); ok {
-		t.Fatal("forged demand accepted")
-	}
-	// A demand for already-included purchases changes nothing.
-	p2, _ := Open("router", 1, 6, 100, 0, 240)
-	pp, _ := p2.Buy(Offer{Hotspot: "fine", PacketID: "x", Bytes: 1}, 0, signer)
-	cl2 := p2.Close(nil)
-	if _, ok := Arbitrate(cl2, Demand{Hotspot: "fine", ChannelID: p2.ID, Purchases: []Purchase{pp}}, signer.Public); ok {
-		t.Fatal("redundant demand accepted")
-	}
-	// Wrong channel ID fails.
-	if _, ok := Arbitrate(cl, Demand{Hotspot: "victim", ChannelID: "sc-bogus", Purchases: purchases}, signer.Public); ok {
-		t.Fatal("cross-channel demand accepted")
-	}
-	// Empty demand fails.
-	if _, ok := Arbitrate(cl, Demand{Hotspot: "victim", ChannelID: ch.ID}, signer.Public); ok {
-		t.Fatal("empty demand accepted")
-	}
-}
-
-func TestWithinGrace(t *testing.T) {
-	if !WithinGrace(100, 100) || !WithinGrace(100, 110) {
-		t.Fatal("in-grace rejected")
-	}
-	if WithinGrace(100, 111) || WithinGrace(100, 99) {
-		t.Fatal("out-of-grace accepted")
 	}
 }
 
@@ -216,7 +152,7 @@ func TestDCForBytesProperty(t *testing.T) {
 func TestPurchaseSignatureProperty(t *testing.T) {
 	signer := chainkey.Generate(stats.NewRNG(21))
 	imposter := chainkey.Generate(stats.NewRNG(22))
-	ch, _ := Open("router", 1, 9, 1<<40, 0, 240)
+	ch, _ := Open("router", 1, 9, 1<<40, 240)
 	err := quick.Check(func(hs, pkt string, size uint16) bool {
 		if hs == "" || pkt == "" {
 			return true

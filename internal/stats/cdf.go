@@ -11,20 +11,11 @@ import (
 
 // CDF is an empirical cumulative distribution function built from a
 // sample. It answers both directions: P(X <= x) and the quantile
-// function. The zero value is empty; add samples with Add or build one
-// from a slice with NewCDF.
+// function. The zero value is empty; add samples with Add.
 type CDF struct {
 	// samples[:sortedN] is in ascending order; Add appends past it.
 	sortedN int
 	samples []float64
-}
-
-// NewCDF builds an empirical CDF from the given samples. The input
-// slice is copied.
-func NewCDF(samples []float64) *CDF {
-	c := &CDF{samples: append([]float64(nil), samples...)}
-	c.Sort()
-	return c
 }
 
 // Add appends a sample.
@@ -132,33 +123,6 @@ func (c *CDF) Max() float64 {
 	}
 	c.Sort()
 	return c.samples[len(c.samples)-1]
-}
-
-// Mean returns the arithmetic mean of the samples (0 for empty).
-func (c *CDF) Mean() float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	sum := 0.0
-	for _, x := range c.samples {
-		sum += x
-	}
-	return sum / float64(len(c.samples))
-}
-
-// StdDev returns the population standard deviation of the samples.
-func (c *CDF) StdDev() float64 {
-	n := len(c.samples)
-	if n == 0 {
-		return 0
-	}
-	m := c.Mean()
-	ss := 0.0
-	for _, x := range c.samples {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(n))
 }
 
 // Points returns up to n evenly spaced (x, P(X<=x)) points suitable

@@ -1,14 +1,13 @@
 package stats
 
 import (
-	"math"
 	"sort"
 	"testing"
 	"testing/quick"
 )
 
 func TestCDFBasics(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5})
+	c := &CDF{samples: []float64{1, 2, 3, 4, 5}}
 	if c.N() != 5 {
 		t.Fatalf("N = %d", c.N())
 	}
@@ -30,9 +29,6 @@ func TestCDFBasics(t *testing.T) {
 	if c.Median() != 3 {
 		t.Errorf("Median = %v", c.Median())
 	}
-	if c.Mean() != 3 {
-		t.Errorf("Mean = %v", c.Mean())
-	}
 }
 
 func TestCDFAddUnsorted(t *testing.T) {
@@ -53,9 +49,6 @@ func TestCDFEmpty(t *testing.T) {
 	if c.P(10) != 0 {
 		t.Error("empty CDF P should be 0")
 	}
-	if c.Mean() != 0 {
-		t.Error("empty CDF Mean should be 0")
-	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Quantile on empty CDF did not panic")
@@ -74,7 +67,7 @@ func TestCDFMonotoneProperty(t *testing.T) {
 		for i := range samples {
 			samples[i] = rr.Normal(0, 100)
 		}
-		c := NewCDF(samples)
+		c := &CDF{samples: samples}
 		// Monotonicity at random probes.
 		prev := -1.0
 		probes := make([]float64, 20)
@@ -103,16 +96,16 @@ func TestCDFMonotoneProperty(t *testing.T) {
 }
 
 func TestKolmogorovSmirnovIdentical(t *testing.T) {
-	a := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8})
-	b := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8})
+	a := &CDF{samples: []float64{1, 2, 3, 4, 5, 6, 7, 8}}
+	b := &CDF{samples: []float64{1, 2, 3, 4, 5, 6, 7, 8}}
 	if d := a.KolmogorovSmirnov(b); d > 0.01 {
 		t.Fatalf("KS of identical samples = %v", d)
 	}
 }
 
 func TestKolmogorovSmirnovDisjoint(t *testing.T) {
-	a := NewCDF([]float64{1, 2, 3})
-	b := NewCDF([]float64{100, 200, 300})
+	a := &CDF{samples: []float64{1, 2, 3}}
+	b := &CDF{samples: []float64{100, 200, 300}}
 	if d := a.KolmogorovSmirnov(b); d < 0.99 {
 		t.Fatalf("KS of disjoint samples = %v, want ~1", d)
 	}
@@ -131,7 +124,7 @@ func TestKolmogorovSmirnovSimilarDistributions(t *testing.T) {
 }
 
 func TestCDFPoints(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10})
+	c := &CDF{samples: []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}}
 	pts := c.Points(5)
 	if len(pts) != 5 {
 		t.Fatalf("got %d points", len(pts))
@@ -147,7 +140,7 @@ func TestCDFPoints(t *testing.T) {
 }
 
 func TestCDFRender(t *testing.T) {
-	c := NewCDF([]float64{1, 2, 3})
+	c := &CDF{samples: []float64{1, 2, 3}}
 	s := c.Render("test", "km")
 	if s == "" || len(s) < 10 {
 		t.Fatalf("render too short: %q", s)
@@ -155,13 +148,6 @@ func TestCDFRender(t *testing.T) {
 	empty := (&CDF{}).Render("none", "")
 	if empty != "none: (no samples)" {
 		t.Fatalf("empty render = %q", empty)
-	}
-}
-
-func TestCDFStdDev(t *testing.T) {
-	c := NewCDF([]float64{2, 4, 4, 4, 5, 5, 7, 9})
-	if got := c.StdDev(); math.Abs(got-2) > 1e-9 {
-		t.Fatalf("StdDev = %v, want 2", got)
 	}
 }
 
@@ -186,7 +172,8 @@ func TestCDFSortMergesAdded(t *testing.T) {
 			continue
 		}
 		c.P(10)
-		want := NewCDF(all)
+		want := &CDF{samples: append([]float64(nil), all...)}
+		want.Sort()
 		if c.sortedN != want.sortedN || !sort.Float64sAreSorted(c.samples) || len(c.samples) != len(want.samples) {
 			t.Fatalf("round %d: sortedN %d of %d, want %d", round, c.sortedN, len(c.samples), want.sortedN)
 		}

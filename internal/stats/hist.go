@@ -221,17 +221,6 @@ func (t *TimeSeries) Cumulative() *TimeSeries {
 	return out
 }
 
-// MaxY returns the maximum y value (0 for empty).
-func (t *TimeSeries) MaxY() float64 {
-	m := 0.0
-	for i, y := range t.Ys {
-		if i == 0 || y > m {
-			m = y
-		}
-	}
-	return m
-}
-
 // Render returns a sparkline-style textual rendering with at most
 // width buckets, averaging y within each bucket.
 func (t *TimeSeries) Render(width int) string {

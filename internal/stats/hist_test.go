@@ -101,9 +101,6 @@ func TestTimeSeriesSortAndCumulative(t *testing.T) {
 			t.Fatalf("cumulative = %v/%v", cum.Xs, cum.Ys)
 		}
 	}
-	if cum.MaxY() != 10 {
-		t.Fatalf("MaxY = %v", cum.MaxY())
-	}
 }
 
 // TestTimeSeriesAppendKeepsSorted: points appended in non-decreasing

@@ -145,11 +145,6 @@ func (r *RNG) Pareto(xm, alpha float64) float64 {
 	return xm / math.Pow(u, 1/alpha)
 }
 
-// LogNormal returns exp(Normal(mu, sigma)).
-func (r *RNG) LogNormal(mu, sigma float64) float64 {
-	return math.Exp(r.Normal(mu, sigma))
-}
-
 // Poisson returns a Poisson-distributed count with the given mean,
 // using Knuth's method for small means and a normal approximation for
 // large ones.
@@ -193,44 +188,6 @@ func (r *RNG) Geometric(p float64) int {
 	return int(math.Floor(math.Log(u) / math.Log(1-p)))
 }
 
-// Zipf draws from a Zipf distribution over ranks 1..n with exponent s,
-// by inversion against the precomputed harmonic CDF in z.
-type Zipf struct {
-	cdf []float64
-}
-
-// NewZipf precomputes a Zipf(n, s) sampler. n must be >= 1.
-func NewZipf(n int, s float64) *Zipf {
-	if n < 1 {
-		panic("stats: NewZipf with n < 1")
-	}
-	cdf := make([]float64, n)
-	sum := 0.0
-	for k := 1; k <= n; k++ {
-		sum += 1 / math.Pow(float64(k), s)
-		cdf[k-1] = sum
-	}
-	for i := range cdf {
-		cdf[i] /= sum
-	}
-	return &Zipf{cdf: cdf}
-}
-
-// Rank draws a rank in [1, n].
-func (z *Zipf) Rank(r *RNG) int {
-	u := r.Float64()
-	lo, hi := 0, len(z.cdf)-1
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if z.cdf[mid] < u {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	return lo + 1
-}
-
 // Shuffle permutes the n elements addressed by swap using the
 // Fisher–Yates algorithm.
 func (r *RNG) Shuffle(n int, swap func(i, j int)) {
@@ -238,16 +195,6 @@ func (r *RNG) Shuffle(n int, swap func(i, j int)) {
 		j := r.Intn(i + 1)
 		swap(i, j)
 	}
-}
-
-// Perm returns a random permutation of [0, n).
-func (r *RNG) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		p[i] = i
-	}
-	r.Shuffle(n, func(i, j int) { p[i], p[j] = p[j], p[i] })
-	return p
 }
 
 // WeightedChoice returns an index in [0, len(weights)) chosen with

@@ -3,7 +3,6 @@ package stats
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestRNGDeterminism(t *testing.T) {
@@ -225,51 +224,6 @@ func TestGeometricMean(t *testing.T) {
 	want := (1 - p) / p // mean of failures-before-success
 	if math.Abs(got-want) > 0.1 {
 		t.Fatalf("Geometric(%v) mean = %v, want ~%v", p, got, want)
-	}
-}
-
-func TestZipfHeadHeavy(t *testing.T) {
-	r := NewRNG(13)
-	z := NewZipf(100, 1.2)
-	counts := make([]int, 101)
-	for i := 0; i < 50000; i++ {
-		counts[z.Rank(r)]++
-	}
-	if counts[1] <= counts[10] {
-		t.Fatalf("rank 1 (%d) not more popular than rank 10 (%d)", counts[1], counts[10])
-	}
-	if counts[1] <= 0 || counts[100] < 0 {
-		t.Fatal("zipf produced impossible counts")
-	}
-}
-
-func TestZipfRankBounds(t *testing.T) {
-	r := NewRNG(14)
-	z := NewZipf(5, 1.0)
-	for i := 0; i < 10000; i++ {
-		rank := z.Rank(r)
-		if rank < 1 || rank > 5 {
-			t.Fatalf("rank out of bounds: %d", rank)
-		}
-	}
-}
-
-func TestPermIsPermutation(t *testing.T) {
-	r := NewRNG(15)
-	err := quick.Check(func(nRaw uint8) bool {
-		n := int(nRaw%64) + 1
-		p := r.Perm(n)
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil)
-	if err != nil {
-		t.Fatal(err)
 	}
 }
 

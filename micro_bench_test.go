@@ -73,7 +73,7 @@ func BenchmarkMicro_LoRaWANFrameRoundTrip(b *testing.B) {
 
 func BenchmarkMicro_StateChannelBuy(b *testing.B) {
 	signer := chainkey.Generate(stats.NewRNG(1))
-	ch, _ := statechannel.Open("router", 1, 1, int64(b.N)*10+100, 0, 240)
+	ch, _ := statechannel.Open("router", 1, 1, int64(b.N)*10+100, 240)
 	ids := make([]string, b.N)
 	for i := range ids {
 		ids[i] = "pkt" + string(rune(i)) + string(rune(i>>8)) + string(rune(i>>16))
