@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest
+.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest deadcode
 
 build:
 	$(GO) build ./...
@@ -131,4 +131,11 @@ live-smoke:
 bench-selftest:
 	cd perfbench && GOWORK=off $(GO) test ./...
 
-check: fmt vet lint build race recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest
+# Functions no program runs: perfbench's workloads, the commands'
+# golden tests and the commands and examples on a small world, all
+# built with coverage counters; every non-test function left at 0.0 %
+# must be on scripts/deadcode.allow with its reason (~1.5 min).
+deadcode:
+	GO=$(GO) bash scripts/deadcode.sh
+
+check: fmt vet lint build race recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest deadcode

@@ -57,6 +57,7 @@ func mux(s *server) *http.ServeMux {
 	m.HandleFunc("/hotspots", s.handleHotspots)
 	m.HandleFunc("/hotspots/", s.handleHotspots)
 	m.HandleFunc("/coverage", s.handleCoverage)
+	m.HandleFunc("/coverage.geojson", s.handleCoverageGeoJSON)
 	m.HandleFunc("/report", s.handleReport)
 	m.HandleFunc("/study", s.handleStudy)
 	m.HandleFunc("/etl", s.handleETL)
@@ -152,6 +153,48 @@ func TestCoverageEndpoint(t *testing.T) {
 	}
 	if cov["radius_300m_pct"] < 0 || cov["radial_rssi_pct"] < cov["radius_300m_pct"] {
 		t.Fatalf("coverage ordering broken: %v", cov)
+	}
+}
+
+// TestCoverageGeoJSONEndpoint: /coverage.geojson is a FeatureCollection
+// of closed witness-hull polygons with positive areas.
+func TestCoverageGeoJSONEndpoint(t *testing.T) {
+	ts := httptest.NewServer(mux(testServer(t)))
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/coverage.geojson")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var fc struct {
+		Type     string `json:"type"`
+		Features []struct {
+			Geometry struct {
+				Type        string         `json:"type"`
+				Coordinates [][][2]float64 `json:"coordinates"`
+			} `json:"geometry"`
+			Props struct {
+				AreaKm2 float64 `json:"area_km2"`
+			} `json:"properties"`
+		} `json:"features"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&fc); err != nil {
+		t.Fatal(err)
+	}
+	if fc.Type != "FeatureCollection" || len(fc.Features) == 0 {
+		t.Fatalf("got %q with %d features", fc.Type, len(fc.Features))
+	}
+	for i, f := range fc.Features {
+		ring := f.Geometry.Coordinates
+		if f.Geometry.Type != "Polygon" || len(ring) != 1 || len(ring[0]) < 4 {
+			t.Fatalf("feature %d: %s with rings %v", i, f.Geometry.Type, ring)
+		}
+		if ring[0][0] != ring[0][len(ring[0])-1] {
+			t.Fatalf("feature %d: ring not closed", i)
+		}
+		if f.Props.AreaKm2 <= 0 {
+			t.Fatalf("feature %d: area %v km²", i, f.Props.AreaKm2)
+		}
 	}
 }
 

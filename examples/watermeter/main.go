@@ -11,7 +11,6 @@ import (
 	"log"
 
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/chainkey"
 	"peoplesnet/internal/device"
 	"peoplesnet/internal/geo"
 	"peoplesnet/internal/hotspot"
@@ -27,7 +26,6 @@ func main() {
 	console := router.New(router.Config{
 		OUI:            1,
 		Owner:          "console",
-		Keys:           chainkey.Generate(rng),
 		ChargeUsers:    true,
 		LatencySampler: func() float64 { return 0.3 },
 	}, rng)

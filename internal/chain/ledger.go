@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"peoplesnet/internal/h3lite"
-	"peoplesnet/internal/names"
 )
 
 // LocationEvent is one entry in a hotspot's location history.
@@ -48,9 +47,6 @@ type Hotspot struct {
 	Online bool `json:"online"`
 }
 
-// Name returns the hotspot's deterministic three-word name.
-func (h *Hotspot) Name() string { return names.FromAddress(h.Address) }
-
 // Account is a wallet's balance state.
 type Account struct {
 	Address  string `json:"address"`
@@ -85,11 +81,6 @@ type Ledger struct {
 	channels map[string]*channelState
 	nextOUI  uint32
 
-	// pendingData accumulates DC credited per hotspot by state-channel
-	// closes. Nothing reads it back; it stays because ledger.ckpt
-	// encodes it.
-	pendingData map[string]int64
-
 	validators map[string]string // validator address → staking owner
 	consensus  []string          // current consensus group members
 
@@ -111,7 +102,6 @@ func NewLedger() *Ledger {
 		ouis:              make(map[uint32]*OUIRecord),
 		channels:          make(map[string]*channelState),
 		validators:        make(map[string]string),
-		pendingData:       make(map[string]int64),
 		nextOUI:           1,
 		oracleUSDPerHNT:   15.0, // mid of the paper's May 2021 $8.32–19.70 range
 		pocIntervalBlocks: PoCChallengeIntervalBlocks,

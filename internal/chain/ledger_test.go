@@ -241,9 +241,6 @@ func TestStateChannelLifecycle(t *testing.T) {
 	if h.DataPackets != 42 {
 		t.Fatal("hotspot packet count not credited")
 	}
-	if l.pendingData["hs1"] != 100 {
-		t.Fatalf("pending data = %v", l.pendingData)
-	}
 	if len(l.channels) != 0 {
 		t.Fatal("channel still open after close")
 	}

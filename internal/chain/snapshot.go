@@ -10,7 +10,9 @@ package chain
 // checkpoint tests rely on.
 //
 // Stability contract: the version byte leads the encoding; field order
-// for version 1 is frozen. DecodeLedgerSnapshot never panics on
+// for version 2 is frozen. Version 1 also carried a never-read map of
+// DC per hotspot; it is refused, not decoded, and the store falls back
+// to a full replay. LedgerFromSnapshot never panics on
 // arbitrary input (FuzzDecodeCheckpoint drives it through the store's
 // checkpoint frame) — counts are bounded against remaining input
 // before allocation.
@@ -24,7 +26,7 @@ import (
 )
 
 // ledgerSnapshotVersion is the current snapshot encoding version.
-const ledgerSnapshotVersion = 1
+const ledgerSnapshotVersion = 2
 
 // Snapshot serializes the complete ledger state. The result is
 // deterministic: equal states yield equal bytes.
@@ -98,13 +100,6 @@ func (l *Ledger) Snapshot() []byte {
 		w.Varint(ch.expireBlock)
 	}
 	w.Uvarint(uint64(l.nextOUI))
-
-	pdKeys := sortedKeys(l.pendingData)
-	w.Uvarint(uint64(len(pdKeys)))
-	for _, k := range pdKeys {
-		w.Str(k)
-		w.Varint(l.pendingData[k])
-	}
 
 	valKeys := sortedKeys(l.validators)
 	w.Uvarint(uint64(len(valKeys)))
@@ -187,10 +182,6 @@ func LedgerFromSnapshot(data []byte) (*Ledger, error) {
 	}
 	l.nextOUI = uint32(r.Uvarint())
 
-	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
-		k := r.Str()
-		l.pendingData[k] = r.Varint()
-	}
 	for i, n := 0, r.Count(2); i < n && r.Err() == nil; i++ {
 		k := r.Str()
 		l.validators[k] = r.Str()

@@ -60,8 +60,8 @@ func Hash(t Txn) string { return IDOf(t).String() }
 var hashBufs = sync.Pool{New: func() any { return &wire.Writer{Buf: make([]byte, 0, 256)} }}
 
 // AddGateway registers a new hotspot (§3). Gateway and Owner are
-// chainkey addresses; Location may be InvalidCell when the hotspot is
-// added before its first location assertion.
+// wallet-style addresses; Location may be InvalidCell when the hotspot
+// is added before its first location assertion.
 type AddGateway struct {
 	Gateway  string      `json:"gateway"`
 	Owner    string      `json:"owner"`
@@ -376,7 +376,6 @@ func (t *StateChannelClose) apply(l *Ledger, height int64) {
 	l.dcBurned += spent
 	for _, s := range t.Summaries {
 		l.hotspots[s.Hotspot].DataPackets += s.Packets
-		l.pendingData[s.Hotspot] += s.DC
 	}
 	delete(l.channels, t.ID)
 }

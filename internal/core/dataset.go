@@ -116,15 +116,6 @@ func (st *SummaryState) seed(mix map[chain.TxnType]int64, first, tip int64) {
 	st.first, st.tip = first, tip
 }
 
-// Txns returns the raw (unweighted) transaction count folded so far.
-func (st *SummaryState) Txns() int64 {
-	var n int64
-	for _, c := range st.counts {
-		n += c
-	}
-	return n
-}
-
 // Finalize materializes the §3 summary, scaling sampled PoC
 // transactions by the dataset's weight. The state is not consumed.
 func (st *SummaryState) Finalize(pocWeight float64) ChainSummary {

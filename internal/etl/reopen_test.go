@@ -169,8 +169,10 @@ func TestCheckpointReplayBitIdentical(t *testing.T) {
 }
 
 // TestTornCheckpointFallsBack: torn, corrupt, and garbage checkpoint
-// files all degrade to a full replay with identical results, and the
-// healthy replay then repairs the checkpoint in place.
+// files, and a sound one holding a version-1 ledger snapshot, all
+// degrade to a full replay with identical results and no replay error
+// (the error MeasureStore reports as LedgerErr), and the healthy replay
+// then repairs the checkpoint in place.
 func TestTornCheckpointFallsBack(t *testing.T) {
 	s, _, dir := buildDiskStore(t, 60)
 	full, err := s.ReplayLedger()
@@ -198,6 +200,12 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 		},
 		"garbage": func() []byte { return []byte("not a checkpoint at all") },
 		"empty":   func() []byte { return nil },
+		// A sound frame around a version-1 ledger snapshot, which the
+		// decoder refuses on its leading version byte.
+		"v1-snapshot": func() []byte {
+			v1 := append([]byte{1}, want[1:]...)
+			return encodeCheckpoint(wantHeight, v1)
+		},
 	}
 	for name, mutate := range damage {
 		t.Run(name, func(t *testing.T) {
@@ -219,6 +227,9 @@ func TestTornCheckpointFallsBack(t *testing.T) {
 			h := s2.Health()
 			if !strings.Contains(h.CheckpointNote, "full replay") {
 				t.Fatalf("note %q, want a full-replay fallback", h.CheckpointNote)
+			}
+			if name == "v1-snapshot" && !strings.Contains(h.CheckpointNote, "snapshot version 1") {
+				t.Fatalf("note %q does not name the refused snapshot version", h.CheckpointNote)
 			}
 			// The healthy full replay rewrote a good checkpoint…
 			if h.CheckpointHeight != wantHeight {

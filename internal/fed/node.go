@@ -203,9 +203,6 @@ func (n *Node) Err() error {
 	return err
 }
 
-// Store exposes the node's underlying store (read-only use).
-func (n *Node) Store() *etl.Store { return n.store }
-
 // Close stops the ingest loop, waits for it to exit, and — for a
 // durable node — flushes the store (sealed index sync, WAL close).
 func (n *Node) Close() error {

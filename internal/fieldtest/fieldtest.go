@@ -15,7 +15,6 @@ import (
 	"math"
 	"sort"
 
-	"peoplesnet/internal/chainkey"
 	"peoplesnet/internal/device"
 	"peoplesnet/internal/geo"
 	"peoplesnet/internal/hotspot"
@@ -189,6 +188,10 @@ func Run(cfg Config) (*Result, error) {
 	rng := stats.NewRNG(cfg.Seed)
 	radioRNG := rng.Split("radio")
 	routerRNG := rng.Split("router")
+	// The golden §8 results were fixed with this stream's first four draws skipped.
+	for range 4 {
+		routerRNG.Uint64()
+	}
 
 	// Router with a latency sampler that the driver parameterizes per
 	// packet (base + jitter + relay penalty via closure state).
@@ -196,7 +199,6 @@ func Run(cfg Config) (*Result, error) {
 	rtr := router.New(router.Config{
 		OUI:   1,
 		Owner: "console",
-		Keys:  chainkey.Generate(routerRNG),
 		LatencySampler: func() float64 {
 			l := cfg.RouterLatencyBase + routerRNG.Exponential(1/maxf(cfg.RouterLatencyJit, 1e-9))
 			return l + extraLatency

@@ -9,7 +9,6 @@ package hotspot_test
 import (
 	"testing"
 
-	"peoplesnet/internal/chainkey"
 	"peoplesnet/internal/device"
 	"peoplesnet/internal/geo"
 	"peoplesnet/internal/hotspot"
@@ -23,7 +22,7 @@ func TestFullStackInProcess(t *testing.T) {
 
 	// Cloud side: a Console-style router with a registered device.
 	rtr := router.New(router.Config{
-		OUI: 1, Owner: "console", Keys: chainkey.Generate(rng),
+		OUI: 1, Owner: "console",
 		LatencySampler: func() float64 { return 0.2 },
 	}, rng)
 	var appKey lorawan.AppKey

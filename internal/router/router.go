@@ -4,7 +4,7 @@
 // duplicate-copy buying), per-user Data Credit accounting at cost,
 // downlink/ACK scheduling against the 1 s / 2 s class-A windows, and
 // application delivery through pluggable integrations (§5.2's "numerous
-// integrations", including a real HTTP one).
+// integrations").
 package router
 
 import (
@@ -12,7 +12,6 @@ import (
 	"sync"
 
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/chainkey"
 	"peoplesnet/internal/hotspot"
 	"peoplesnet/internal/lorawan"
 	"peoplesnet/internal/statechannel"
@@ -57,7 +56,6 @@ type session struct {
 type Config struct {
 	OUI   uint32
 	Owner string // wallet address
-	Keys  *chainkey.Keypair
 	// ChannelLifetimeBlocks is the open-to-deadline length. The
 	// Console closes roughly every 120 blocks on 240-block channels
 	// (Fig 8, §5.1).
@@ -89,7 +87,6 @@ type Router struct {
 	channel   *statechannel.Channel
 	pending   []chain.Txn
 	delivered map[string]bool // packetID → already delivered to app
-	blocklist *statechannel.Blocklist
 	integ     Integration
 	rng       *stats.RNG
 
@@ -116,7 +113,6 @@ func New(cfg Config, rng *stats.RNG) *Router {
 		sessions:  make(map[lorawan.DevAddr]*session),
 		users:     make(map[string]int64),
 		delivered: make(map[string]bool),
-		blocklist: statechannel.NewBlocklist(),
 		rng:       rng,
 	}
 	r.pending = append(r.pending, &chain.OUIRegistration{OUI: cfg.OUI, Owner: cfg.Owner})
@@ -129,9 +125,6 @@ func (r *Router) SetIntegration(i Integration) {
 	defer r.mu.Unlock()
 	r.integ = i
 }
-
-// Blocklist exposes the router's hotspot blocklist.
-func (r *Router) Blocklist() *statechannel.Blocklist { return r.blocklist }
 
 // RegisterDevice enrolls a device under a user account (the Console
 // "register a new device" step, §2.1).
@@ -201,9 +194,6 @@ func (r *Router) ensureChannel() *statechannel.Channel {
 func (r *Router) OfferPacket(o statechannel.Offer) (statechannel.Purchase, bool) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.blocklist.Blocked(o.Hotspot) {
-		return statechannel.Purchase{}, false
-	}
 	// Refuse traffic for users who are out of DC.
 	if r.cfg.ChargeUsers {
 		if sess, ok := r.sessions[lorawan.DevAddr(o.DevAddr)]; ok {
@@ -213,13 +203,13 @@ func (r *Router) OfferPacket(o statechannel.Offer) (statechannel.Purchase, bool)
 		}
 	}
 	ch := r.ensureChannel()
-	p, err := ch.Buy(o, r.cfg.MaxCopies, r.cfg.Keys)
+	p, err := ch.Buy(o, r.cfg.MaxCopies)
 	if err != nil {
 		if err == statechannel.ErrChannelExhausted {
 			// Roll the channel and retry once.
 			r.pending = append(r.pending, ch.Close())
 			r.channel = nil
-			p, err = r.ensureChannel().Buy(o, r.cfg.MaxCopies, r.cfg.Keys)
+			p, err = r.ensureChannel().Buy(o, r.cfg.MaxCopies)
 		}
 		if err != nil {
 			return statechannel.Purchase{}, false

@@ -2,10 +2,11 @@ package router
 
 import (
 	"bytes"
+	"fmt"
+	"reflect"
 	"testing"
 
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/chainkey"
 	"peoplesnet/internal/lorawan"
 	"peoplesnet/internal/statechannel"
 	"peoplesnet/internal/stats"
@@ -14,9 +15,6 @@ import (
 func newTestRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
 	rng := stats.NewRNG(99)
-	if cfg.Keys == nil {
-		cfg.Keys = chainkey.Generate(rng)
-	}
 	if cfg.OUI == 0 {
 		cfg.OUI = 1
 	}
@@ -211,14 +209,6 @@ func TestUserChargingAndCutoff(t *testing.T) {
 	}
 }
 
-func TestBlocklistRefusesOffers(t *testing.T) {
-	r := newTestRouter(t, Config{})
-	r.Blocklist().Add("liar", "claimed unsent packets")
-	if _, ok := r.OfferPacket(statechannel.Offer{Hotspot: "liar", PacketID: "p", Bytes: 10}); ok {
-		t.Fatal("blocklisted hotspot's offer accepted")
-	}
-}
-
 func TestChannelLifecycleTxns(t *testing.T) {
 	r := newTestRouter(t, Config{ChannelLifetimeBlocks: 240, ChannelStakeDC: 10})
 	// Initial pending: OUI registration.
@@ -341,5 +331,82 @@ func TestFCntAdvanceRedelivers(t *testing.T) {
 	}
 	if integ.Count() != 3 {
 		t.Fatalf("delivered %d of 3 distinct packets", integ.Count())
+	}
+}
+
+// TestCloseCarriesPurchasedDC: over seeded random offer sequences (many
+// hotspots, repeated packet IDs, duplicate limits of none and one, and a
+// stake small enough to roll the channel many times), the state-channel
+// closes the router queues, plus the close of the channel still open,
+// carry exactly the DC and packet counts of the purchases OfferPacket
+// returned, per channel and hotspot.
+func TestCloseCarriesPurchasedDC(t *testing.T) {
+	type key struct{ channel, id string } // id: a hotspot or a packet ID
+	for _, maxCopies := range []int{0, 1} {
+		for seed := uint64(1); seed <= 4; seed++ {
+			rng := stats.NewRNG(seed)
+			r := newTestRouter(t, Config{MaxCopies: maxCopies, ChannelStakeDC: 50})
+			bought := make(map[key]chain.SCSummary)
+			// Copies bought per (channel, packet ID): the duplicate limit
+			// applies within a channel.
+			copies := make(map[key]int)
+			var purchases int
+			for i := 0; i < 3000; i++ {
+				o := statechannel.Offer{
+					Hotspot:  fmt.Sprintf("hs%02d", rng.Intn(40)),
+					PacketID: fmt.Sprintf("pkt%03d", rng.Intn(400)),
+					Bytes:    rng.Intn(120),
+				}
+				p, ok := r.OfferPacket(o)
+				if !ok {
+					// Only the duplicate limit refuses here, and a refusal
+					// leaves the refusing channel open.
+					if n := copies[key{r.channel.ID, o.PacketID}]; maxCopies <= 0 || n < maxCopies {
+						t.Fatalf("maxCopies %d seed %d offer %d (%+v) refused after %d copies",
+							maxCopies, seed, i, o, n)
+					}
+					continue
+				}
+				ck := key{p.ChannelID, o.PacketID}
+				if maxCopies > 0 && copies[ck] >= maxCopies {
+					t.Fatalf("maxCopies %d seed %d offer %d (%+v) bought as copy %d",
+						maxCopies, seed, i, o, copies[ck]+1)
+				}
+				if p.Offer != o || p.DC != statechannel.DCForBytes(o.Bytes) {
+					t.Fatalf("purchase %+v for offer %+v", p, o)
+				}
+				copies[ck]++
+				purchases++
+				k := key{p.ChannelID, o.Hotspot}
+				s := bought[k]
+				s.Hotspot = o.Hotspot
+				s.Packets++
+				s.DC += p.DC
+				bought[k] = s
+			}
+
+			txns := r.PendingTxns()
+			if r.channel != nil {
+				txns = append(txns, r.channel.Close())
+			}
+			closed := make(map[key]chain.SCSummary)
+			closes := 0
+			for _, tx := range txns {
+				cl, ok := tx.(*chain.StateChannelClose)
+				if !ok {
+					continue
+				}
+				closes++
+				for _, s := range cl.Summaries {
+					closed[key{cl.ID, s.Hotspot}] = s
+				}
+			}
+			if closes < 10 {
+				t.Fatalf("maxCopies %d seed %d: %d closes, want the stake to roll the channel", maxCopies, seed, closes)
+			}
+			if !reflect.DeepEqual(closed, bought) {
+				t.Fatalf("maxCopies %d seed %d: close summaries differ from the %d purchases", maxCopies, seed, purchases)
+			}
+		}
 	}
 }

@@ -1,20 +1,16 @@
 // Package statechannel implements the off-chain packet-purchase
 // protocol between hotspots and routers that §5.1 of the paper
-// reverse-engineers: staked channels, per-packet offers and signed
-// purchases, duplicate-copy policies, close summaries, and the
-// blocklist that is a router's only recourse against lying hotspots.
+// reverse-engineers: staked channels, per-packet offers and the
+// purchase decision (whether to buy, how many copies, at what DC
+// price), and the close summaries that settle a channel on chain.
 package statechannel
 
 import (
-	"crypto/ed25519"
-	"encoding/binary"
 	"errors"
-	"fmt"
 	"sort"
 	"sync"
 
 	"peoplesnet/internal/chain"
-	"peoplesnet/internal/chainkey"
 )
 
 // DCForBytes prices a packet: 1 DC per started 24-byte increment,
@@ -35,32 +31,12 @@ type Offer struct {
 	DevAddr  uint32
 }
 
-// Purchase is a router's signed commitment to pay for an offer.
+// Purchase is a router's commitment to pay for an offer: the DC it
+// owes the selling hotspot and the channel that pays it.
 type Purchase struct {
 	Offer     Offer
 	DC        int64
 	ChannelID string
-	Signature []byte
-}
-
-// purchaseBody serializes the signed fields.
-func purchaseBody(o Offer, dc int64, channelID string) []byte {
-	buf := make([]byte, 0, 64)
-	buf = append(buf, o.Hotspot...)
-	buf = append(buf, 0)
-	buf = append(buf, o.PacketID...)
-	buf = append(buf, 0)
-	var num [8]byte
-	binary.BigEndian.PutUint64(num[:], uint64(o.Bytes))
-	buf = append(buf, num[:]...)
-	binary.BigEndian.PutUint64(num[:], uint64(dc))
-	buf = append(buf, num[:]...)
-	return append(buf, channelID...)
-}
-
-// Verify checks the purchase signature against the router's key.
-func (p Purchase) Verify(routerPub ed25519.PublicKey) bool {
-	return chainkey.Verify(routerPub, purchaseBody(p.Offer, p.DC, p.ChannelID), p.Signature)
 }
 
 // Errors.
@@ -68,7 +44,6 @@ var (
 	ErrChannelExhausted = errors.New("statechannel: stake exhausted")
 	ErrChannelClosed    = errors.New("statechannel: channel closed")
 	ErrDuplicateCopies  = errors.New("statechannel: duplicate copy limit reached")
-	ErrBlocklisted      = errors.New("statechannel: hotspot blocklisted")
 )
 
 // Channel is a router's live view of one open state channel.
@@ -110,10 +85,10 @@ func Open(owner string, oui uint32, nonce int64, stakeDC, lifetimeBlocks int64) 
 }
 
 // Buy evaluates an offer against the channel: duplicate-copy policy,
-// remaining stake, and produces a signed purchase. maxCopies <= 0
+// remaining stake, and produces the purchase. maxCopies <= 0
 // means unlimited (the paper notes routers may buy as many duplicate
 // copies as they wish, §5.1).
-func (c *Channel) Buy(o Offer, maxCopies int, signer *chainkey.Keypair) (Purchase, error) {
+func (c *Channel) Buy(o Offer, maxCopies int) (Purchase, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
@@ -135,9 +110,7 @@ func (c *Channel) Buy(o Offer, maxCopies int, signer *chainkey.Keypair) (Purchas
 	}
 	s.Packets++
 	s.DC += dc
-	p := Purchase{Offer: o, DC: dc, ChannelID: c.ID}
-	p.Signature = signer.Sign(purchaseBody(o, dc, c.ID))
-	return p, nil
+	return Purchase{Offer: o, DC: dc, ChannelID: c.ID}, nil
 }
 
 // Close finalizes the channel and emits the close transaction.
@@ -152,52 +125,4 @@ func (c *Channel) Close() *chain.StateChannelClose {
 	// Deterministic order for serialization.
 	sort.Slice(cl.Summaries, func(i, j int) bool { return cl.Summaries[i].Hotspot < cl.Summaries[j].Hotspot })
 	return cl
-}
-
-// Blocklist is a router's memory of hotspots that lied about sending
-// data (§5.1: "routers have no recourse but to add the hotspot to a
-// blocklist and not make future offers to purchase its packets").
-type Blocklist struct {
-	mu  sync.Mutex
-	set map[string]string // hotspot → reason
-}
-
-// NewBlocklist returns an empty blocklist.
-func NewBlocklist() *Blocklist {
-	return &Blocklist{set: make(map[string]string)}
-}
-
-// Add records a hotspot with a reason.
-func (b *Blocklist) Add(hotspot, reason string) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.set[hotspot] = reason
-}
-
-// Blocked reports whether the hotspot is listed.
-func (b *Blocklist) Blocked(hotspot string) bool {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	_, ok := b.set[hotspot]
-	return ok
-}
-
-// Len returns the number of listed hotspots.
-func (b *Blocklist) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return len(b.set)
-}
-
-// Reason returns why a hotspot was listed.
-func (b *Blocklist) Reason(hotspot string) (string, bool) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	r, ok := b.set[hotspot]
-	return r, ok
-}
-
-// String summarizes the blocklist.
-func (b *Blocklist) String() string {
-	return fmt.Sprintf("blocklist(%d hotspots)", b.Len())
 }

@@ -21,8 +21,6 @@
 package peoplesnet
 
 import (
-	"io"
-
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/core"
 	"peoplesnet/internal/coverage"
@@ -220,14 +218,3 @@ var (
 
 // RunField executes a field experiment.
 func RunField(cfg FieldConfig) (*FieldResult, error) { return fieldtest.Run(cfg) }
-
-// WriteChain streams a world's blockchain as JSON lines.
-func WriteChain(w io.Writer, world *World) error {
-	_, err := world.Chain.WriteTo(w)
-	return err
-}
-
-// ReadChain replays a JSON-lines chain dump into a fresh validated
-// chain. The p2p/IP analyses need a live World; chain-derived
-// analyses work directly on the result via internal/core's Dataset.
-func ReadChain(r io.Reader) (*chain.Chain, error) { return chain.ReadChain(r) }
