@@ -42,8 +42,8 @@ bench-live:
 	$(GO) test -run xxx -bench 'BenchmarkMeasure$$|BenchmarkLiveStudy' -benchmem . | ./bin/benchjson -scale $${PEOPLESNET_BENCH_SCALE:-small}
 
 # Storage engine v2 numbers (EXPERIMENTS.md "Storage engine v2"):
-# postings compression ratio, cold-start time-to-first-query vs full
-# preload, and checkpointed vs full ledger replay.
+# postings compression ratio and cold-start time-to-first-query vs
+# full preload.
 store-bench:
 	$(GO) test -run xxx -bench 'BenchmarkStore' -benchtime 10x .
 
@@ -84,15 +84,14 @@ recovery:
 # Coverage-guided fuzzing over the codecs: the chain block decoder
 # must decode-or-error on arbitrary bytes, the wire primitives must
 # round-trip any write script exactly, the wire reader must never
-# panic on garbage, and the v2 store codecs (compressed postings,
-# ledger checkpoint) must round-trip clean input and reject hostile
-# input without panicking. (`go test -fuzz` takes one target per run.)
+# panic on garbage, and the v2 store's compressed postings must
+# round-trip clean input and reject hostile input without panicking.
+# (`go test -fuzz` takes one target per run.)
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecodeBlock -fuzztime 10s -run xxx ./internal/chain/
 	$(GO) test -fuzz FuzzWireRoundTrip -fuzztime 5s -run xxx ./internal/wire/
 	$(GO) test -fuzz FuzzReaderNoPanic -fuzztime 5s -run xxx ./internal/wire/
 	$(GO) test -fuzz FuzzPostingRoundTrip -fuzztime 10s -run xxx ./internal/etl/
-	$(GO) test -fuzz FuzzDecodeCheckpoint -fuzztime 5s -run xxx ./internal/etl/
 
 # Federation smoke: 4 height-sliced and 4 region-sliced in-process
 # shards answer the full query matrix under the race detector, every

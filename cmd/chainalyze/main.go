@@ -81,9 +81,6 @@ func run(args []string, stdout io.Writer) (err error) {
 	// an index the store already holds.
 	study := peoplesnet.MeasureStoreWith(store, nil,
 		peoplesnet.MeasureOptions{ResaleTopN: 10, PoCWeight: *pocWeight})
-	if study.LedgerErr != nil {
-		return fmt.Errorf("ledger: %w", study.LedgerErr)
-	}
 	printReport(stdout, c, study)
 	return nil
 }

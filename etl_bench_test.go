@@ -11,7 +11,6 @@ package peoplesnet
 import (
 	"os"
 	"path/filepath"
-	"strings"
 	"sync"
 	"testing"
 
@@ -328,12 +327,11 @@ func BenchmarkETLColdStart_Reload(b *testing.B) {
 	}
 }
 
-// --- storage engine v2: size, lazy cold start, checkpointed replay --------
+// --- storage engine v2: size, lazy cold start ------------------------------
 //
 // The BenchmarkStore* family backs EXPERIMENTS.md "Storage engine v2"
-// and `make store-bench`: compressed-posting store size, cold-start
-// time-to-first-query with lazy segment loading vs a full preload, and
-// ledger replay resumed from a checkpoint vs replayed from genesis.
+// and `make store-bench`: compressed-posting store size, and cold-start
+// time-to-first-query with lazy segment loading vs a full preload.
 
 // BenchmarkStoreSize reports the v2 store's size profile: total
 // on-disk bytes per block, compressed posting bytes, and bytes per
@@ -409,60 +407,3 @@ func coldFirstQuery(b *testing.B, preload bool) {
 
 func BenchmarkStoreColdStart_LazyFirstQuery(b *testing.B)    { coldFirstQuery(b, false) }
 func BenchmarkStoreColdStart_PreloadFirstQuery(b *testing.B) { coldFirstQuery(b, true) }
-
-// Ledger replay: resumed from the checkpoint written at the sealed
-// boundary vs replayed from genesis. The full pin deletes the
-// checkpoint before each open (replay rewrites it on the way out).
-func BenchmarkStoreReplay_Checkpointed(b *testing.B) {
-	_, storeDir := coldFixtures(b)
-	s, err := etl.Open(storeDir, etl.Config{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	// Seed the checkpoint so every timed iteration resumes from it.
-	if _, err := s.ReplayLedger(); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s, err := etl.Open(storeDir, etl.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.ReplayLedger(); err != nil {
-			b.Fatal(err)
-		}
-		if h := s.Health(); !strings.Contains(h.CheckpointNote, "replayed from checkpoint") {
-			b.Fatalf("replay was not checkpointed: %q", h.CheckpointNote)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkStoreReplay_Full(b *testing.B) {
-	_, storeDir := coldFixtures(b)
-	ckpt := filepath.Join(storeDir, "ledger.ckpt")
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		os.Remove(ckpt)
-		b.StartTimer()
-		s, err := etl.Open(storeDir, etl.Config{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := s.ReplayLedger(); err != nil {
-			b.Fatal(err)
-		}
-		if h := s.Health(); !strings.Contains(h.CheckpointNote, "full replay") {
-			b.Fatalf("replay unexpectedly checkpointed: %q", h.CheckpointNote)
-		}
-		if err := s.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

@@ -31,8 +31,8 @@ var osFileFuncs = map[string]bool{
 	"ReadFile": true, "WriteFile": true, "ReadDir": true,
 	"Rename": true, "Remove": true, "RemoveAll": true,
 	"Mkdir": true, "MkdirAll": true, "MkdirTemp": true, "Truncate": true,
-	// Metadata probes matter too: the lazy-open and checkpoint paths
-	// decide behavior on existence checks, and a direct os.Stat would
+	// Metadata probes matter too: the lazy-open and WAL paths decide
+	// behavior on existence checks, and a direct os.Stat would
 	// dodge injected not-exist faults just as a direct read would.
 	"Stat": true, "Lstat": true, "Link": true, "Symlink": true, "Chtimes": true,
 }

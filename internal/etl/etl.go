@@ -118,8 +118,8 @@ func FromChain(c *chain.Chain) *Store {
 	return s
 }
 
-// SetLedger attaches the replayed ledger state the View serves.
-// BulkLoad and FollowChain call this with the source chain's ledger.
+// SetLedger attaches the ledger state the View serves. BulkLoad and
+// FollowChain call this with the source chain's ledger.
 func (s *Store) SetLedger(l *chain.Ledger) {
 	s.mu.Lock()
 	s.ledger = l

@@ -1,7 +1,6 @@
 package etl
 
 import (
-	"bytes"
 	"testing"
 
 	"peoplesnet/internal/chain"
@@ -74,49 +73,6 @@ func FuzzPostingRoundTrip(f *testing.F) {
 		}
 		if err := hostile.validate(nil, chain.TxnPayment); err == nil && len(data) > 0 {
 			t.Fatal("validate accepted a non-empty list against zero blocks")
-		}
-	})
-}
-
-// FuzzDecodeCheckpoint asserts the checkpoint decoder never panics on
-// arbitrary bytes and that anything it accepts is usable: the embedded
-// ledger snapshot either fails to decode (full-replay fallback) or
-// reaches a byte-stable fixed point under re-encoding.
-func FuzzDecodeCheckpoint(f *testing.F) {
-	l := chain.NewLedger()
-	f.Add(encodeCheckpoint(0, l.Snapshot()))
-	l.CreditHNT("fuzz-owner", 1_234_567)
-	l.CreditDC("fuzz-router", 99)
-	l.SetOraclePrice(1.25)
-	f.Add(encodeCheckpoint(4096, l.Snapshot()))
-	f.Add([]byte{})
-	f.Add([]byte(ckptMagic))
-	f.Fuzz(func(t *testing.T, data []byte) {
-		height, snap, err := decodeCheckpoint(data)
-		if err != nil {
-			return
-		}
-		if height < 0 {
-			t.Fatalf("decoder accepted negative checkpoint height %d", height)
-		}
-		lgr, err := chain.LedgerFromSnapshot(snap)
-		if err != nil {
-			return // intact frame, garbage snapshot: the caller replays in full
-		}
-		s2 := lgr.Snapshot()
-		lgr2, err := chain.LedgerFromSnapshot(s2)
-		if err != nil {
-			t.Fatalf("re-encoded snapshot failed to decode: %v", err)
-		}
-		if s3 := lgr2.Snapshot(); !bytes.Equal(s2, s3) {
-			t.Fatal("ledger snapshot is not a fixed point under re-encoding")
-		}
-		h2, snap2, err := decodeCheckpoint(encodeCheckpoint(height, s2))
-		if err != nil {
-			t.Fatalf("re-encoded checkpoint failed to decode: %v", err)
-		}
-		if h2 != height || !bytes.Equal(snap2, s2) {
-			t.Fatalf("checkpoint round trip changed content: height %d vs %d", h2, height)
 		}
 	})
 }

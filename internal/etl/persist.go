@@ -6,7 +6,6 @@ package etl
 //	seg-<from>-<to>.idx   index sidecar: posting lists + the segment's
 //	                      contribution to the materialized aggregates
 //	wal.log               write-ahead log holding the unsealed tail
-//	ledger.ckpt           replayed-ledger checkpoint (checkpoint.go)
 //	quarantine/           corrupt files moved aside by recovery
 //
 // Every file is a magic string followed by checksummed frames:
@@ -175,8 +174,6 @@ type durable struct {
 	sidecarsRebuilt int    // guarded by hmu; missing, damaged or other-version sidecars rebuilt from blocks
 	walRecovery     string // guarded by hmu; note from Open: torn/corrupt WAL classification
 	gaps            []Gap  // guarded by hmu
-	ckptHeight      int64  // guarded by hmu; ledger checkpoint height in use, -1 none
-	ckptNote        string // guarded by hmu; how the last ReplayLedger used the checkpoint
 }
 
 // setPersistErr records (or clears) the last persistence failure.
@@ -234,15 +231,6 @@ func (d *durable) setWALRecovery(note string) {
 	d.hmu.Unlock()
 }
 
-// setCheckpoint records the ledger checkpoint state ReplayLedger used
-// or wrote.
-func (d *durable) setCheckpoint(height int64, note string) {
-	d.hmu.Lock()
-	d.ckptHeight = height
-	d.ckptNote = note
-	d.hmu.Unlock()
-}
-
 // gapList returns a copy of the recorded gaps.
 func (d *durable) gapList() []Gap {
 	d.hmu.Lock()
@@ -286,10 +274,6 @@ type Health struct {
 	LastAppend    time.Time `json:"last_append,omitzero"`
 	LastError     string    `json:"last_error,omitempty"`
 	WALRecovery   string    `json:"wal_recovery,omitempty"`
-	// CheckpointHeight is the ledger checkpoint height the last
-	// ReplayLedger used or wrote (-1: none); CheckpointNote says how.
-	CheckpointHeight int64  `json:"checkpoint_height"`
-	CheckpointNote   string `json:"checkpoint_note,omitempty"`
 }
 
 // Health reports the store's durability state. For a memory-only store
@@ -300,10 +284,9 @@ func (s *Store) Health() Health {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	h := Health{
-		PendingBlocks:    len(s.pending),
-		IngestRetries:    s.ingestRetries.Load(),
-		LastAppend:       s.lastAppend,
-		CheckpointHeight: -1,
+		PendingBlocks: len(s.pending),
+		IngestRetries: s.ingestRetries.Load(),
+		LastAppend:    s.lastAppend,
 	}
 	for _, g := range s.sealed {
 		if g.broken() {
@@ -332,8 +315,6 @@ func (d *durable) fillHealth(h *Health) {
 	h.SidecarsRebuilt = d.sidecarsRebuilt
 	h.Gaps = append([]Gap(nil), d.gaps...)
 	h.WALRecovery = d.walRecovery
-	h.CheckpointHeight = d.ckptHeight
-	h.CheckpointNote = d.ckptNote
 	if d.persistErr != nil {
 		h.LastError = d.persistErr.Error()
 	}

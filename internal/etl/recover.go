@@ -30,6 +30,11 @@ import (
 //
 // Segment contents load lazily; call Preload to force the v1 eager
 // behavior, or let the first queries pay only for what they touch.
+// Open reads only segments, their sidecars and the WAL; any other file
+// in dir, such as a ledger checkpoint an older build wrote, is left
+// alone.
+// The store has no ledger until BulkLoad or FollowChain attaches its
+// source chain's.
 func Open(dir string, cfg Config) (*Store, error) {
 	fsys := cfg.FS
 	if fsys == nil {
@@ -45,10 +50,9 @@ func Open(dir string, cfg Config) (*Store, error) {
 
 	s := New(cfg)
 	d := &durable{
-		fs:         fsys,
-		dir:        dir,
-		wal:        newWAL(fsys, join(dir, walFileName)),
-		ckptHeight: -1,
+		fs:  fsys,
+		dir: dir,
+		wal: newWAL(fsys, join(dir, walFileName)),
 	}
 	s.dur = d
 
@@ -336,122 +340,6 @@ func (s *Store) coveredLocked(h int64) bool {
 	}
 	j := sort.Search(len(s.pending), func(j int) bool { return s.pending[j].Height >= h })
 	return j < len(s.pending) && s.pending[j].Height == h
-}
-
-// ReplayLedger rebuilds ledger state by replaying stored blocks
-// through a ledger — the durable analogue of ReadChain's replay — and
-// attaches it to the store for the View's balance queries. Queries
-// that only touch indexes and aggregates don't need it, which is why
-// Open leaves the ledger unset.
-//
-// A durable store resumes from its ledger checkpoint when one is
-// present and sound, replaying only blocks past it — O(tail) instead
-// of O(chain); any checkpoint damage falls back to a full replay
-// (Health.CheckpointNote says which happened). After a healthy replay
-// that advanced past the checkpoint, a fresh checkpoint is written at
-// the sealed boundary, so the next restart pays only for the pending
-// tail.
-func (s *Store) ReplayLedger() (*chain.Ledger, error) {
-	s.mu.RLock()
-	d := s.dur
-	s.mu.RUnlock()
-
-	l := chain.NewLedger()
-	from := int64(-1) // blocks at or below this height are in l already
-	ckptUsed := int64(-1)
-	var note string
-	if d != nil {
-		note = "no checkpoint, full replay"
-		h, snap, err := d.readCheckpoint()
-		switch {
-		case err != nil:
-			note = "checkpoint unusable, full replay: " + err.Error()
-		case h < 0:
-			// No checkpoint file; the zero-value note stands.
-		default:
-			lck, serr := chain.LedgerFromSnapshot(snap)
-			if serr != nil {
-				note = "checkpoint snapshot undecodable, full replay: " + serr.Error()
-			} else if tip := s.Height(); h > tip {
-				note = fmt.Sprintf("checkpoint height %d beyond tip %d, full replay", h, tip)
-			} else {
-				l, from, ckptUsed = lck, h, h
-				note = fmt.Sprintf("replayed from checkpoint at height %d", h)
-			}
-		}
-	}
-
-	var firstErr error
-	apply := func(b *chain.Block) bool {
-		for i, t := range b.Txns {
-			if err := l.ApplyTxn(t, b.Height); err != nil {
-				firstErr = fmt.Errorf("etl: replay block %d txn %d (%s): %w", b.Height, i, t.TxnType(), err)
-				return false
-			}
-		}
-		return true
-	}
-	// failed records the failed apply in the health note, so the store
-	// itself says its ledger replay broke and at which block.
-	failed := func() (*chain.Ledger, error) {
-		if d != nil {
-			d.setCheckpoint(ckptUsed, note+"; replay failed: "+firstErr.Error())
-		}
-		return nil, firstErr
-	}
-
-	sealed, pending := s.view()
-	healthy := true
-	lastSealed := int64(-1)
-	for _, g := range sealed {
-		if g.to <= from {
-			// Fully covered by the checkpoint: the segment is not even
-			// loaded — the heart of the O(tail) restart.
-			lastSealed = g.to
-			continue
-		}
-		if !g.load() {
-			healthy = false
-			continue
-		}
-		for _, b := range g.blocks {
-			if b.Height <= from {
-				continue
-			}
-			if !apply(b) {
-				return failed()
-			}
-		}
-		lastSealed = g.to
-	}
-
-	// Advance the checkpoint to the sealed boundary — but only when
-	// this replay saw a complete store. A gap or failed load means l is
-	// missing transactions; persisting it would bake the hole into
-	// every future restart, where leaving the old checkpoint (or none)
-	// keeps the fallback path honest.
-	if d != nil && healthy && lastSealed > from && len(d.gapList()) == 0 {
-		if err := d.writeCheckpoint(lastSealed, l.Snapshot()); err == nil {
-			ckptUsed = lastSealed
-			note += fmt.Sprintf("; checkpoint advanced to height %d", lastSealed)
-		} else {
-			note += "; checkpoint write failed: " + err.Error()
-		}
-	}
-	if d != nil {
-		d.setCheckpoint(ckptUsed, note)
-	}
-
-	for _, b := range pending {
-		if b.Height <= from {
-			continue
-		}
-		if !apply(b) {
-			return failed()
-		}
-	}
-	s.SetLedger(l)
-	return l, nil
 }
 
 // Close flushes the durable state and releases the WAL handle. The

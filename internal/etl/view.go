@@ -40,8 +40,8 @@ func (s *Store) TxnMix() map[chain.TxnType]int64 {
 	return mix
 }
 
-// Ledger returns the attached replayed ledger (nil until SetLedger,
-// BulkLoad, or FollowChain).
+// Ledger returns the attached source-chain ledger (nil until
+// SetLedger, BulkLoad, or FollowChain).
 func (s *Store) Ledger() *chain.Ledger {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -130,22 +130,6 @@ func (c Cell) Center() geo.Point {
 	return geo.Point{Lat: y / kmPerDeg, Lon: x / kmPerDeg}
 }
 
-// Parent returns the cell at the coarser resolution parentRes that
-// contains c's centroid. Because h3lite lattices are independent per
-// resolution (unlike H3's aligned 7:1 subdivision) this is an
-// approximate containment: the parent always contains the child's
-// center, which is the property chain analyses rely on.
-func (c Cell) Parent(parentRes int) Cell {
-	checkRes(parentRes)
-	if parentRes > c.Res() {
-		panic("h3lite: parent resolution finer than cell")
-	}
-	if parentRes == c.Res() {
-		return c
-	}
-	return FromLatLon(c.Center(), parentRes)
-}
-
 // pentagonAnchors approximate the 12 icosahedron vertices where real
 // H3 places its pentagonal cells. Cells near these anchors are flagged
 // as "pentagonally distorted", reproducing the rare witness-validity

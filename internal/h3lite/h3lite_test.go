@@ -69,29 +69,6 @@ func TestCellValidity(t *testing.T) {
 	}
 }
 
-func TestParentContainsChildCenter(t *testing.T) {
-	r := stats.NewRNG(4)
-	for i := 0; i < 500; i++ {
-		p := geo.Point{Lat: r.Float64()*120 - 60, Lon: r.Float64()*340 - 170}
-		child := FromLatLon(p, 12)
-		parent := child.Parent(8)
-		if parent.Res() != 8 {
-			t.Fatalf("parent res = %d", parent.Res())
-		}
-		// The child's center must map back into the parent.
-		if FromLatLon(child.Center(), 8) != parent {
-			t.Fatalf("parent does not contain child center for %v", p)
-		}
-	}
-}
-
-func TestParentSameRes(t *testing.T) {
-	c := FromLatLon(geo.Point{Lat: 5, Lon: 5}, 9)
-	if c.Parent(9) != c {
-		t.Fatal("Parent at same res should be identity")
-	}
-}
-
 func TestPentagonDistortionIsRare(t *testing.T) {
 	r := stats.NewRNG(5)
 	distorted := 0

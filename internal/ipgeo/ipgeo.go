@@ -9,7 +9,6 @@ package ipgeo
 import (
 	"fmt"
 	"net/netip"
-	"sort"
 	"sync"
 
 	"peoplesnet/internal/stats"
@@ -216,14 +215,6 @@ type Attachment struct {
 // attempt to use a unique port, 44158").
 const HotspotPort = 44158
 
-// Attach provisions a subscriber in the market: picks a provider by
-// local share, rolls NAT, and allocates a public IP when reachable.
-func (r *Registry) Attach(m Market, rng *stats.RNG) Attachment {
-	att := AttachLine(m, rng)
-	r.AssignIP(&att)
-	return att
-}
-
 // AttachLine picks the subscriber line only — provider by local
 // share, NAT roll — without allocating a public IP. It touches no
 // Registry state, so concurrent workers may call it with their own
@@ -290,36 +281,4 @@ func (r *Registry) allocIP(isp *ISP) netip.Addr {
 	r.nextIP[isp.ASN] = n
 	base := isp.prefix.Addr().As4()
 	return netip.AddrFrom4([4]byte{base[0], base[1], byte(n >> 8), byte(n)})
-}
-
-// TopISPs tallies attachments by ISP name and returns the n providers
-// with the most public-IP hotspots, descending — Table 1.
-func TopISPs(atts []Attachment, n int) []ISPCount {
-	counts := make(map[string]int)
-	for _, a := range atts {
-		if a.ISP == nil || a.NATed {
-			continue
-		}
-		counts[a.ISP.Name]++
-	}
-	out := make([]ISPCount, 0, len(counts))
-	for name, c := range counts {
-		out = append(out, ISPCount{Name: name, Hotspots: c})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Hotspots != out[j].Hotspots {
-			return out[i].Hotspots > out[j].Hotspots
-		}
-		return out[i].Name < out[j].Name
-	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
-	}
-	return out
-}
-
-// ISPCount is one row of Table 1.
-type ISPCount struct {
-	Name     string
-	Hotspots int
 }

@@ -11,6 +11,14 @@ func newReg(seed uint64) (*Registry, *stats.RNG) {
 	return NewRegistry(rng, 440), rng
 }
 
+// attach provisions one subscriber line as the world generator does:
+// AttachLine picks it, then AssignIP allocates its public IP.
+func attach(r *Registry, m Market, rng *stats.RNG) Attachment {
+	att := AttachLine(m, rng)
+	r.AssignIP(&att)
+	return att
+}
+
 func TestRegistrySize(t *testing.T) {
 	r, _ := newReg(1)
 	// 17 major + 440 tail ≈ the paper's 454 ASNs (Fig 9).
@@ -33,9 +41,9 @@ func TestAttachPublicIPInPrefix(t *testing.T) {
 		t.Fatalf("first ISP = %s", spectrum.Name)
 	}
 	// A public line gets an address from its provider's prefix.
-	att := r.Attach(Market{City: "x", ISPs: []*ISP{spectrum}}, rng)
+	att := attach(r, Market{City: "x", ISPs: []*ISP{spectrum}}, rng)
 	for att.NATed { // retry until we land a public line
-		att = r.Attach(Market{City: "x", ISPs: []*ISP{spectrum}}, rng)
+		att = attach(r, Market{City: "x", ISPs: []*ISP{spectrum}}, rng)
 	}
 	if att.ASN != spectrum.ASN || !spectrum.prefix.Contains(att.PublicIP) {
 		t.Fatalf("public IP %v (ASN %d) not in %v (ASN %d)", att.PublicIP, att.ASN, spectrum.prefix, spectrum.ASN)
@@ -45,11 +53,11 @@ func TestAttachPublicIPInPrefix(t *testing.T) {
 func TestAttachDistributions(t *testing.T) {
 	r, rng := newReg(3)
 	m := Market{City: "bigcity", ISPs: r.ISPs()[:3]} // Spectrum, Comcast, Verizon
-	var atts []Attachment
+	// public counts the public lines per provider name.
+	public := make(map[string]int)
 	nated := 0
 	for i := 0; i < 5000; i++ {
-		a := r.Attach(m, rng)
-		atts = append(atts, a)
+		a := attach(r, m, rng)
 		if a.NATed {
 			nated++
 			if a.PublicIP.IsValid() {
@@ -62,6 +70,7 @@ func TestAttachDistributions(t *testing.T) {
 			if a.Port != HotspotPort {
 				t.Fatalf("port = %d", a.Port)
 			}
+			public[a.ISP.Name]++
 		}
 	}
 	// NAT fraction should be near the share-weighted mean (~0.58).
@@ -69,15 +78,15 @@ func TestAttachDistributions(t *testing.T) {
 	if frac < 0.5 || frac > 0.68 {
 		t.Fatalf("NAT fraction = %v", frac)
 	}
-	top := TopISPs(atts, 3)
-	if len(top) != 3 || top[0].Name != "Spectrum" || top[1].Name != "Comcast" || top[2].Name != "Verizon" {
-		t.Fatalf("top ISPs = %+v", top)
+	// Public lines follow the calibrated shares: Spectrum > Comcast > Verizon.
+	if !(public["Spectrum"] > public["Comcast"] && public["Comcast"] > public["Verizon"] && public["Verizon"] > 0) {
+		t.Fatalf("public lines per ISP = %v", public)
 	}
 }
 
 func TestAttachEmptyMarket(t *testing.T) {
 	r, rng := newReg(4)
-	a := r.Attach(Market{}, rng)
+	a := attach(r, Market{}, rng)
 	if !a.NATed || a.ISP != nil {
 		t.Fatalf("empty market attachment = %+v", a)
 	}

@@ -52,6 +52,7 @@ type batchViews struct {
 func batchPrefix(t testing.TB, blocks []*chain.Block, h int64, meta map[string]core.HotspotMeta, pw float64, topN int) batchViews {
 	t.Helper()
 	s := etl.New(etl.Config{})
+	l := chain.NewLedger()
 	for _, b := range blocks {
 		if b.Height > h {
 			break
@@ -59,10 +60,11 @@ func batchPrefix(t testing.TB, blocks []*chain.Block, h int64, meta map[string]c
 		if err := s.Append(b); err != nil {
 			t.Fatalf("append block %d: %v", b.Height, err)
 		}
-	}
-	l, err := s.ReplayLedger()
-	if err != nil {
-		t.Fatalf("replay ledger at height %d: %v", h, err)
+		for i, tx := range b.Txns {
+			if err := l.ApplyTxn(tx, b.Height); err != nil {
+				t.Fatalf("replay block %d txn %d (%s): %v", b.Height, i, tx.TxnType(), err)
+			}
+		}
 	}
 	s.SetLedger(l)
 	d := &core.Dataset{Chain: s.View(), Meta: meta, PoCWeight: pw}

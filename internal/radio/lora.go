@@ -87,52 +87,6 @@ func Airtime(payloadBytes int, sf SpreadingFactor, bw Bandwidth) float64 {
 	return preamble + nPayload*tSym
 }
 
-// Region is a regulatory channel plan.
-type Region struct {
-	Name          string
-	UplinkMHz     []float64 // uplink channel center frequencies
-	DownlinkMHz   []float64 // RX1 downlink frequencies (US915 shifts bands)
-	MaxEIRPdBm    float64
-	DefaultSF     SpreadingFactor
-	DefaultBWUp   Bandwidth
-	DefaultBWDown Bandwidth
-}
-
-// US915 returns sub-band 2 of the US channel plan (channels 8–15 plus
-// the 500 kHz channel 65), which is what Helium uses in the US.
-func US915() Region {
-	up := make([]float64, 8)
-	for i := range up {
-		up[i] = 903.9 + 0.2*float64(i)
-	}
-	down := make([]float64, 8)
-	for i := range down {
-		down[i] = 923.3 + 0.6*float64(i)
-	}
-	return Region{
-		Name:          "US915",
-		UplinkMHz:     up,
-		DownlinkMHz:   down,
-		MaxEIRPdBm:    30, // 4 W EIRP for end devices with dwell limits
-		DefaultSF:     SF9,
-		DefaultBWUp:   BW125,
-		DefaultBWDown: BW500,
-	}
-}
-
-// EU868 returns the three mandatory EU868 channels.
-func EU868() Region {
-	return Region{
-		Name:          "EU868",
-		UplinkMHz:     []float64{868.1, 868.3, 868.5},
-		DownlinkMHz:   []float64{868.1, 868.3, 868.5},
-		MaxEIRPdBm:    16,
-		DefaultSF:     SF9,
-		DefaultBWUp:   BW125,
-		DefaultBWDown: BW125,
-	}
-}
-
 // FSPLdB returns free-space path loss in dB for a distance in km and
 // frequency in MHz.
 func FSPLdB(distKm, freqMHz float64) float64 {

@@ -181,23 +181,6 @@ func TestDelivered(t *testing.T) {
 	}
 }
 
-func TestRegions(t *testing.T) {
-	us := US915()
-	if len(us.UplinkMHz) != 8 || len(us.DownlinkMHz) != 8 {
-		t.Fatalf("US915 channels = %d up / %d down", len(us.UplinkMHz), len(us.DownlinkMHz))
-	}
-	if us.UplinkMHz[0] != 903.9 {
-		t.Fatalf("US915 first uplink = %v", us.UplinkMHz[0])
-	}
-	if us.DefaultBWDown != BW500 {
-		t.Fatal("US915 downlink should be 500 kHz")
-	}
-	eu := EU868()
-	if len(eu.UplinkMHz) != 3 || eu.MaxEIRPdBm != 16 {
-		t.Fatalf("EU868 = %+v", eu)
-	}
-}
-
 func TestSpreadingFactorValid(t *testing.T) {
 	if !SF7.Valid() || !SF12.Valid() {
 		t.Fatal("valid SFs rejected")

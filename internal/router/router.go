@@ -62,9 +62,6 @@ type Config struct {
 	ChannelLifetimeBlocks int64
 	// ChannelStakeDC staked per channel.
 	ChannelStakeDC int64
-	// MaxCopies bounds duplicate purchases of one packet (<=0:
-	// unlimited, the paper's observed default).
-	MaxCopies int
 	// LatencySampler returns the router's response latency in seconds
 	// for one transaction; decides which RX window (if any) an ACK
 	// makes (§5.2's five-step under-1s dance). Nil means always ~0.2 s.
@@ -203,13 +200,13 @@ func (r *Router) OfferPacket(o statechannel.Offer) (statechannel.Purchase, bool)
 		}
 	}
 	ch := r.ensureChannel()
-	p, err := ch.Buy(o, r.cfg.MaxCopies)
+	p, err := ch.Buy(o)
 	if err != nil {
 		if err == statechannel.ErrChannelExhausted {
 			// Roll the channel and retry once.
 			r.pending = append(r.pending, ch.Close())
 			r.channel = nil
-			p, err = r.ensureChannel().Buy(o, r.cfg.MaxCopies)
+			p, err = r.ensureChannel().Buy(o)
 		}
 		if err != nil {
 			return statechannel.Purchase{}, false

@@ -160,7 +160,7 @@ func TestLatencyWindows(t *testing.T) {
 }
 
 func TestDuplicateCopyPurchasedOnceDelivered(t *testing.T) {
-	r := newTestRouter(t, Config{MaxCopies: 3})
+	r := newTestRouter(t, Config{})
 	r.RegisterDevice(Device{DevEUI: devEUI, AppEUI: appEUI, AppKey: testAppKey(), UserID: "u"})
 	integ := &MemoryIntegration{}
 	r.SetIntegration(integ)
@@ -173,10 +173,6 @@ func TestDuplicateCopyPurchasedOnceDelivered(t *testing.T) {
 			t.Fatalf("copy from %s rejected", hs)
 		}
 		r.ReleasePacket(p, wire)
-	}
-	// A fourth copy exceeds MaxCopies.
-	if _, ok := r.OfferPacket(statechannel.Offer{Hotspot: "hs-d", PacketID: "same-packet", Bytes: len(wire), DevAddr: uint32(addr)}); ok {
-		t.Fatal("fourth copy bought")
 	}
 	if integ.Count() != 1 {
 		t.Fatalf("app deliveries = %d, want 1", integ.Count())
@@ -335,78 +331,60 @@ func TestFCntAdvanceRedelivers(t *testing.T) {
 }
 
 // TestCloseCarriesPurchasedDC: over seeded random offer sequences (many
-// hotspots, repeated packet IDs, duplicate limits of none and one, and a
-// stake small enough to roll the channel many times), the state-channel
+// hotspots, repeated packet IDs, and a stake small enough to roll the channel many times), the state-channel
 // closes the router queues, plus the close of the channel still open,
 // carry exactly the DC and packet counts of the purchases OfferPacket
 // returned, per channel and hotspot.
 func TestCloseCarriesPurchasedDC(t *testing.T) {
-	type key struct{ channel, id string } // id: a hotspot or a packet ID
-	for _, maxCopies := range []int{0, 1} {
-		for seed := uint64(1); seed <= 4; seed++ {
-			rng := stats.NewRNG(seed)
-			r := newTestRouter(t, Config{MaxCopies: maxCopies, ChannelStakeDC: 50})
-			bought := make(map[key]chain.SCSummary)
-			// Copies bought per (channel, packet ID): the duplicate limit
-			// applies within a channel.
-			copies := make(map[key]int)
-			var purchases int
-			for i := 0; i < 3000; i++ {
-				o := statechannel.Offer{
-					Hotspot:  fmt.Sprintf("hs%02d", rng.Intn(40)),
-					PacketID: fmt.Sprintf("pkt%03d", rng.Intn(400)),
-					Bytes:    rng.Intn(120),
-				}
-				p, ok := r.OfferPacket(o)
-				if !ok {
-					// Only the duplicate limit refuses here, and a refusal
-					// leaves the refusing channel open.
-					if n := copies[key{r.channel.ID, o.PacketID}]; maxCopies <= 0 || n < maxCopies {
-						t.Fatalf("maxCopies %d seed %d offer %d (%+v) refused after %d copies",
-							maxCopies, seed, i, o, n)
-					}
-					continue
-				}
-				ck := key{p.ChannelID, o.PacketID}
-				if maxCopies > 0 && copies[ck] >= maxCopies {
-					t.Fatalf("maxCopies %d seed %d offer %d (%+v) bought as copy %d",
-						maxCopies, seed, i, o, copies[ck]+1)
-				}
-				if p.Offer != o || p.DC != statechannel.DCForBytes(o.Bytes) {
-					t.Fatalf("purchase %+v for offer %+v", p, o)
-				}
-				copies[ck]++
-				purchases++
-				k := key{p.ChannelID, o.Hotspot}
-				s := bought[k]
-				s.Hotspot = o.Hotspot
-				s.Packets++
-				s.DC += p.DC
-				bought[k] = s
+	type key struct{ channel, hotspot string }
+	for seed := uint64(1); seed <= 4; seed++ {
+		rng := stats.NewRNG(seed)
+		r := newTestRouter(t, Config{ChannelStakeDC: 50})
+		bought := make(map[key]chain.SCSummary)
+		var purchases int
+		for i := 0; i < 3000; i++ {
+			o := statechannel.Offer{
+				Hotspot:  fmt.Sprintf("hs%02d", rng.Intn(40)),
+				PacketID: fmt.Sprintf("pkt%03d", rng.Intn(400)),
+				Bytes:    rng.Intn(120),
 			}
+			p, ok := r.OfferPacket(o)
+			if !ok {
+				t.Fatalf("seed %d offer %d (%+v) refused", seed, i, o)
+			}
+			if p.Offer != o || p.DC != statechannel.DCForBytes(o.Bytes) {
+				t.Fatalf("purchase %+v for offer %+v", p, o)
+			}
+			purchases++
+			k := key{p.ChannelID, o.Hotspot}
+			s := bought[k]
+			s.Hotspot = o.Hotspot
+			s.Packets++
+			s.DC += p.DC
+			bought[k] = s
+		}
 
-			txns := r.PendingTxns()
-			if r.channel != nil {
-				txns = append(txns, r.channel.Close())
+		txns := r.PendingTxns()
+		if r.channel != nil {
+			txns = append(txns, r.channel.Close())
+		}
+		closed := make(map[key]chain.SCSummary)
+		closes := 0
+		for _, tx := range txns {
+			cl, ok := tx.(*chain.StateChannelClose)
+			if !ok {
+				continue
 			}
-			closed := make(map[key]chain.SCSummary)
-			closes := 0
-			for _, tx := range txns {
-				cl, ok := tx.(*chain.StateChannelClose)
-				if !ok {
-					continue
-				}
-				closes++
-				for _, s := range cl.Summaries {
-					closed[key{cl.ID, s.Hotspot}] = s
-				}
+			closes++
+			for _, s := range cl.Summaries {
+				closed[key{cl.ID, s.Hotspot}] = s
 			}
-			if closes < 10 {
-				t.Fatalf("maxCopies %d seed %d: %d closes, want the stake to roll the channel", maxCopies, seed, closes)
-			}
-			if !reflect.DeepEqual(closed, bought) {
-				t.Fatalf("maxCopies %d seed %d: close summaries differ from the %d purchases", maxCopies, seed, purchases)
-			}
+		}
+		if closes < 10 {
+			t.Fatalf("seed %d: %d closes, want the stake to roll the channel", seed, closes)
+		}
+		if !reflect.DeepEqual(closed, bought) {
+			t.Fatalf("seed %d: close summaries differ from the %d purchases", seed, purchases)
 		}
 	}
 }

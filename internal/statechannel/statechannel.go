@@ -43,7 +43,6 @@ type Purchase struct {
 var (
 	ErrChannelExhausted = errors.New("statechannel: stake exhausted")
 	ErrChannelClosed    = errors.New("statechannel: channel closed")
-	ErrDuplicateCopies  = errors.New("statechannel: duplicate copy limit reached")
 )
 
 // Channel is a router's live view of one open state channel.
@@ -57,9 +56,6 @@ type Channel struct {
 	spentDC   int64
 	closed    bool
 	summaries map[string]*chain.SCSummary
-	// copies counts purchases per packet ID across all hotspots, for
-	// the duplicate policy.
-	copies map[string]int
 }
 
 // Open creates the router-side channel state together with its
@@ -72,7 +68,6 @@ func Open(owner string, oui uint32, nonce int64, stakeDC, lifetimeBlocks int64) 
 		Owner:     owner,
 		StakeDC:   stakeDC,
 		summaries: make(map[string]*chain.SCSummary),
-		copies:    make(map[string]int),
 	}
 	txn := &chain.StateChannelOpen{
 		ID:           id,
@@ -84,25 +79,20 @@ func Open(owner string, oui uint32, nonce int64, stakeDC, lifetimeBlocks int64) 
 	return ch, txn
 }
 
-// Buy evaluates an offer against the channel: duplicate-copy policy,
-// remaining stake, and produces the purchase. maxCopies <= 0
-// means unlimited (the paper notes routers may buy as many duplicate
-// copies as they wish, §5.1).
-func (c *Channel) Buy(o Offer, maxCopies int) (Purchase, error) {
+// Buy evaluates an offer against the channel's remaining stake and
+// produces the purchase. Every copy of a packet is bought: routers may
+// buy as many duplicate copies as they wish (§5.1).
+func (c *Channel) Buy(o Offer) (Purchase, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return Purchase{}, ErrChannelClosed
-	}
-	if maxCopies > 0 && c.copies[o.PacketID] >= maxCopies {
-		return Purchase{}, ErrDuplicateCopies
 	}
 	dc := DCForBytes(o.Bytes)
 	if c.spentDC+dc > c.StakeDC {
 		return Purchase{}, ErrChannelExhausted
 	}
 	c.spentDC += dc
-	c.copies[o.PacketID]++
 	s := c.summaries[o.Hotspot]
 	if s == nil {
 		s = &chain.SCSummary{Hotspot: o.Hotspot}

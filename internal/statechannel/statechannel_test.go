@@ -26,7 +26,7 @@ func TestOpenAndBuy(t *testing.T) {
 		t.Fatalf("open txn = %+v", openTxn)
 	}
 	o := Offer{Hotspot: "hs1", PacketID: "pkt-1", Bytes: 20}
-	p, err := ch.Buy(o, 1)
+	p, err := ch.Buy(o)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,30 +39,27 @@ func TestOpenAndBuy(t *testing.T) {
 }
 
 func TestDuplicateCopyPolicy(t *testing.T) {
+	// Every copy of a packet is bought, one per relaying hotspot (§5.1).
 	ch, _ := Open("router", 1, 2, 100, 240)
-	o1 := Offer{Hotspot: "hs1", PacketID: "dup", Bytes: 10}
-	o2 := Offer{Hotspot: "hs2", PacketID: "dup", Bytes: 10}
-	if _, err := ch.Buy(o1, 1); err != nil {
-		t.Fatal(err)
+	for _, hs := range []string{"hs1", "hs2", "hs3"} {
+		if _, err := ch.Buy(Offer{Hotspot: hs, PacketID: "dup", Bytes: 10}); err != nil {
+			t.Fatalf("copy from %s: %v", hs, err)
+		}
 	}
-	if _, err := ch.Buy(o2, 1); !errors.Is(err, ErrDuplicateCopies) {
-		t.Fatalf("second copy with maxCopies=1: %v", err)
-	}
-	// Unlimited copies allowed with maxCopies <= 0.
-	if _, err := ch.Buy(o2, 0); err != nil {
-		t.Fatalf("unlimited copies: %v", err)
+	if ch.spentDC != 3 {
+		t.Fatalf("spent = %d, want 3", ch.spentDC)
 	}
 }
 
 func TestStakeExhaustion(t *testing.T) {
 	ch, _ := Open("router", 1, 3, 2, 240)
-	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "1", Bytes: 10}, 0); err != nil {
+	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "1", Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "2", Bytes: 10}, 0); err != nil {
+	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "2", Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "3", Bytes: 10}, 0); !errors.Is(err, ErrChannelExhausted) {
+	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "3", Bytes: 10}); !errors.Is(err, ErrChannelExhausted) {
 		t.Fatalf("over-stake buy: %v", err)
 	}
 }
@@ -70,9 +67,9 @@ func TestStakeExhaustion(t *testing.T) {
 func TestCloseSummaries(t *testing.T) {
 	ch, _ := Open("router", 1, 4, 1000, 240)
 	for i := 0; i < 3; i++ {
-		ch.Buy(Offer{Hotspot: "hs-b", PacketID: string(rune('a' + i)), Bytes: 30}, 0)
+		ch.Buy(Offer{Hotspot: "hs-b", PacketID: string(rune('a' + i)), Bytes: 30})
 	}
-	ch.Buy(Offer{Hotspot: "hs-a", PacketID: "z", Bytes: 10}, 0)
+	ch.Buy(Offer{Hotspot: "hs-a", PacketID: "z", Bytes: 10})
 	cl := ch.Close()
 	if len(cl.Summaries) != 2 {
 		t.Fatalf("summaries = %+v", cl.Summaries)
@@ -88,7 +85,7 @@ func TestCloseSummaries(t *testing.T) {
 		t.Fatalf("totals = %d pkts %d DC", cl.TotalPackets(), cl.TotalDC())
 	}
 	// Channel refuses further buys.
-	if _, err := ch.Buy(Offer{Hotspot: "x", PacketID: "q", Bytes: 1}, 0); !errors.Is(err, ErrChannelClosed) {
+	if _, err := ch.Buy(Offer{Hotspot: "x", PacketID: "q", Bytes: 1}); !errors.Is(err, ErrChannelClosed) {
 		t.Fatalf("post-close buy: %v", err)
 	}
 }

@@ -118,40 +118,6 @@ func (h *Histogram) Values() []int {
 	return vs
 }
 
-// Render returns a fixed-width textual bar chart of the histogram,
-// capped at maxRows rows (remaining values are aggregated into a final
-// ">= v" row). Suitable for experiment logs.
-func (h *Histogram) Render(label string, maxRows int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "%s (n=%d)\n", label, h.total)
-	vs := h.Values()
-	peak := 0
-	for _, c := range h.counts {
-		if c > peak {
-			peak = c
-		}
-	}
-	rows := 0
-	for i, v := range vs {
-		if maxRows > 0 && rows >= maxRows-1 && i < len(vs)-1 {
-			rest := 0
-			for _, v2 := range vs[i:] {
-				rest += h.counts[v2]
-			}
-			fmt.Fprintf(&b, "  >=%4d %8d\n", v, rest)
-			break
-		}
-		c := h.counts[v]
-		bar := ""
-		if peak > 0 {
-			bar = strings.Repeat("#", c*40/peak)
-		}
-		fmt.Fprintf(&b, "  %6d %8d %s\n", v, c, bar)
-		rows++
-	}
-	return b.String()
-}
-
 // TimeSeries is an append-only series of (index, value) pairs, used
 // for daily-growth and per-block traffic plots. Indices are abstract
 // (day number, block height).

@@ -70,21 +70,6 @@ func TestHistogramValuesSorted(t *testing.T) {
 	}
 }
 
-func TestHistogramRender(t *testing.T) {
-	h := NewHistogram()
-	for i := 0; i < 10; i++ {
-		h.Observe(i % 3)
-	}
-	s := h.Render("moves", 10)
-	if !strings.Contains(s, "moves") || !strings.Contains(s, "#") {
-		t.Fatalf("render = %q", s)
-	}
-	capped := h.Render("moves", 2)
-	if !strings.Contains(capped, ">=") {
-		t.Fatalf("capped render should aggregate tail: %q", capped)
-	}
-}
-
 func TestTimeSeriesSortAndCumulative(t *testing.T) {
 	ts := NewTimeSeries("adds")
 	ts.Append(3, 5)

@@ -87,7 +87,7 @@ func BenchmarkMicro_StateChannelBuy(b *testing.B) {
 			ch, _ = statechannel.Open("router", 1, int64(i/perChannel), perChannel, 240)
 			b.StartTimer()
 		}
-		if _, err := ch.Buy(statechannel.Offer{Hotspot: "hs", PacketID: ids[i%perChannel], Bytes: 24}, 0); err != nil {
+		if _, err := ch.Buy(statechannel.Offer{Hotspot: "hs", PacketID: ids[i%perChannel], Bytes: 24}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -21,7 +21,6 @@
 package peoplesnet
 
 import (
-	"peoplesnet/internal/chain"
 	"peoplesnet/internal/core"
 	"peoplesnet/internal/coverage"
 	"peoplesnet/internal/etl"
@@ -67,12 +66,6 @@ type Study struct {
 	ISPs      core.ISPAnalysis
 	Relays    core.RelayAnalysis
 	Audit     core.IncentiveAudit
-
-	// LedgerErr is the ledger replay failure MeasureStoreWith met on a
-	// store that had no ledger attached; nil when the ledger was there
-	// or replayed cleanly. When set, the ledger-derived analyses ran
-	// against an empty ledger and are not to be trusted.
-	LedgerErr error
 }
 
 // MeasureOptions carries the analysis cutoffs shared by the batch and
@@ -92,20 +85,21 @@ func Measure(w *World) *Study { return MeasureStore(etl.FromChain(w.Chain), w) }
 
 // MeasureStore runs the suite over an already-open ETL store without
 // re-indexing anything: the analyses resolve through the store's
-// posting lists and its attached ledger (replayed on demand when the
-// store was reopened without one). world may be nil — a bare store
-// has no p2p swarm or IP metadata, so the §6 analyses come back
-// empty; everything chain-derived is complete.
+// posting lists and the ledger of the chain it ingested. world may be
+// nil — a bare store has no p2p swarm or IP metadata, so the §6
+// analyses come back empty; everything chain-derived is complete.
 func MeasureStore(s *etl.Store, w *World) *Study {
 	return MeasureStoreWith(s, w, DefaultMeasureOptions())
 }
 
 // MeasureStoreWith is MeasureStore with explicit analysis cutoffs.
-// Opts.PoCWeight supplies the sampling weight a nil world cannot; if
-// the store's ledger is missing and cannot be replayed, the
-// ledger-derived analyses degrade to empty and Study.LedgerErr says
-// why.
+// Opts.PoCWeight supplies the sampling weight a nil world cannot. The
+// store must carry its source chain's ledger, as every store built by
+// etl.FromChain, BulkLoad or FollowChain does.
 func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
+	if s.Ledger() == nil {
+		panic("peoplesnet: MeasureStore needs a store with its chain's ledger attached (etl.FromChain, Store.BulkLoad or Store.FollowChain)")
+	}
 	opts = opts.Normalized()
 	var d *core.Dataset
 	if w != nil {
@@ -114,17 +108,6 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 		d = &core.Dataset{}
 	}
 	d.Chain = s.View()
-	var ledgerErr error
-	if s.Ledger() == nil {
-		// A successful replay attaches its ledger to the store. A failed
-		// one leaves the store without a ledger, so the next measurement
-		// retries and reports the failure too; this one runs against an
-		// empty substitute held by the dataset alone.
-		if _, err := s.ReplayLedger(); err != nil {
-			ledgerErr = err
-			d.Chain = substituteLedger{View: s.View(), l: chain.NewLedger()}
-		}
-	}
 	if opts.PoCWeight > 0 {
 		d.PoCWeight = opts.PoCWeight
 	}
@@ -140,7 +123,6 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 		Routers:   d.AnalyzeRouters(),
 		ISPs:      d.AnalyzeISPs(opts.ISPTopN),
 		Audit:     d.AuditIncentives(1, 100),
-		LedgerErr: ledgerErr,
 	}
 	if w != nil {
 		// The relay analyses need the world's p2p swarm and seed.
@@ -148,15 +130,6 @@ func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
 	}
 	return st
 }
-
-// substituteLedger is a store view whose ledger is an empty stand-in
-// for one that failed to replay.
-type substituteLedger struct {
-	*etl.View
-	l *chain.Ledger
-}
-
-func (v substituteLedger) Ledger() *chain.Ledger { return v.l }
 
 // LiveStudy re-exports internal/live's incremental study: the §3–§6
 // analyses maintained as materialized views over a store's block

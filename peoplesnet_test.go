@@ -1,7 +1,6 @@
 package peoplesnet
 
 import (
-	"os"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -67,15 +66,16 @@ func TestRunFieldFacade(t *testing.T) {
 	}
 }
 
-// TestMeasureStoreReportsLedgerErr: a durable store reopened without
-// its ledger checkpoint replays the ledger from its blocks. A SmallWorld
-// chain is built under a one-block PoC interval the replay ledger does
-// not know, so the replay fails; MeasureStore must say so through
-// LedgerErr, naming the failing block, instead of measuring an empty
-// ledger silently, on every call, and the store's health note must
-// record the failure.
-func TestMeasureStoreReportsLedgerErr(t *testing.T) {
-	w, err := Simulate(SmallWorld(3))
+// TestMeasureStoreNeedsLedger: a store reaches MeasureStore with its
+// source chain's ledger attached. A durable store reopened on its own
+// has none, and MeasureStore says so at once, naming the calls that
+// attach one, rather than dereferencing nil inside an analysis.
+func TestMeasureStoreNeedsLedger(t *testing.T) {
+	cfg := SmallWorld(8)
+	cfg.Days = 200
+	cfg.TargetHotspots = 150
+	cfg.Towns = 40
+	w, err := Simulate(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -90,35 +90,20 @@ func TestMeasureStoreReportsLedgerErr(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.Remove(filepath.Join(dir, "ledger.ckpt")); err != nil && !os.IsNotExist(err) {
-		t.Fatal(err)
-	}
 
 	s2, err := etl.Open(dir, etl.Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	// The failure must not be papered over by the first call: a second
-	// measurement of the same store retries the replay and reports it
-	// again.
-	for call := 1; call <= 2; call++ {
-		st := MeasureStore(s2, nil)
-		if st.LedgerErr == nil {
-			t.Fatalf("call %d: failed ledger replay left LedgerErr nil", call)
+	defer func() {
+		msg, _ := recover().(string)
+		for _, want := range []string{"FromChain", "BulkLoad", "FollowChain"} {
+			if !strings.Contains(msg, want) {
+				t.Errorf("panic %q does not name %s", msg, want)
+			}
 		}
-		if !strings.Contains(st.LedgerErr.Error(), "replay block ") {
-			t.Errorf("call %d: LedgerErr %q does not name the failing block", call, st.LedgerErr)
-		}
-		if s2.Ledger() != nil {
-			t.Errorf("call %d: the store has a ledger attached after a failed replay", call)
-		}
-	}
-	// The store's own health says the replay failed, and where.
-	if note := s2.Health().CheckpointNote; !strings.Contains(note, "replay failed") || !strings.Contains(note, "replay block ") {
-		t.Errorf("CheckpointNote %q does not record the failed replay and its block", note)
-	}
-	if fresh := MeasureStore(etl.FromChain(w.Chain), nil); fresh.LedgerErr != nil {
-		t.Errorf("store with the chain's ledger attached: LedgerErr %v", fresh.LedgerErr)
-	}
+	}()
+	MeasureStore(s2, nil)
+	t.Error("MeasureStore measured a store with no ledger")
 }
