@@ -1,7 +1,6 @@
 package chain
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 
@@ -40,11 +39,6 @@ type Hotspot struct {
 	ValidWitnessCount  int64 `json:"valid_witness_count,omitempty"`
 	DataPackets        int64 `json:"data_packets,omitempty"`
 	EarnedBones        int64 `json:"earned_bones,omitempty"`
-
-	// Online mirrors the p2p liveness view (§4.2's connected vs
-	// online distinction); it is maintained by the simulator, not by
-	// transactions.
-	Online bool `json:"online"`
 }
 
 // Account is a wallet's balance state.
@@ -209,18 +203,6 @@ func (l *Ledger) EachHotspot(fn func(*Hotspot)) {
 	for _, h := range l.hotspots {
 		fn(h)
 	}
-}
-
-// SetOnline flags a hotspot's liveness (driven by the p2p layer).
-func (l *Ledger) SetOnline(addr string, online bool) error {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	h, ok := l.hotspots[addr]
-	if !ok {
-		return fmt.Errorf("chain: unknown hotspot %s", addr)
-	}
-	h.Online = online
-	return nil
 }
 
 // GetAccount returns a copy of the account record (zero value if the

@@ -324,21 +324,6 @@ func TestRewards(t *testing.T) {
 	}
 }
 
-func TestSetOnline(t *testing.T) {
-	l := NewLedger()
-	l.ApplyTxn(&AddGateway{Gateway: "hs1", Owner: "w"}, 1)
-	if err := l.SetOnline("hs1", true); err != nil {
-		t.Fatal(err)
-	}
-	h, _ := l.GetHotspot("hs1")
-	if !h.Online {
-		t.Fatal("online flag not set")
-	}
-	if err := l.SetOnline("ghost", true); err == nil {
-		t.Fatal("unknown hotspot accepted")
-	}
-}
-
 func TestRewardKindString(t *testing.T) {
 	if RewardWitness.String() != "poc_witness" {
 		t.Fatal(RewardWitness.String())

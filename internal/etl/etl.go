@@ -17,7 +17,10 @@
 //     rewards, 389,446 entries), sit on one shared list per segment
 //     instead. An actor query tests each shared rewards transaction
 //     for membership with one binary search over its entries'
-//     addresses, sorted once, on the segment's first actor scan.
+//     addresses, sorted once, on the segment's first actor scan,
+//   - per-region transaction counts (RegionOf, the federation's
+//     routing regions), built on the first region count that covers
+//     the whole segment and never persisted (CountRegion).
 //
 // On top of the segments the store maintains incremental materialized
 // aggregates for the hot analyses (transaction mix, location asserts

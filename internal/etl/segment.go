@@ -53,6 +53,11 @@ type segment struct {
 	// never lock, and it is never persisted.
 	membersOnce sync.Once
 	members     []rewardMembers
+	// regions is the segment's transaction count per routing region:
+	// built by the first CountRegion covering the whole segment
+	// (regionCounts), immutable after, never persisted.
+	regionsOnce sync.Once
+	regions     *[NumRegions]int64
 	// agg is the segment's aggregate contribution, decoded from the
 	// sidecar (or rebuilt) at load; nil for in-memory segments, whose
 	// transactions were observed at append time.
@@ -267,8 +272,8 @@ func mentionsAnyMember(ms []rewardMembers, p pos, r *chain.Rewards, actors []str
 // ActorsOf calls emit for every address t mentions, in the txn's own
 // field order (possibly with duplicates). It is the single definition
 // of "whose timeline does this transaction belong on" — the posting
-// builder above, the federation layer's partitioning (internal/fed),
-// and actor aggregations all share it.
+// builder above and actor aggregations share it, and RegionOf's home
+// actor is its first non-empty emission (homeActor).
 func ActorsOf(t chain.Txn, emit func(string)) { actorsOf(t, emit) }
 
 // Mentions reports whether t names the actor — the exact predicate

@@ -126,3 +126,17 @@ func BenchmarkFedActorTxns(b *testing.B) {
 		b.Run(a.name, func(b *testing.B) { benchQuery(b, cl, page(a.actor)) })
 	}
 }
+
+// BenchmarkFedCountRegion counts the busiest region's transactions
+// over the whole chain on four region shards with the result cache
+// off, so every iteration reaches the shard. One untimed query first
+// builds the segments' region summaries.
+func BenchmarkFedCountRegion(b *testing.B) {
+	c := testChain(b)
+	cl := benchCluster(b, c, ByRegion(4), Options{CacheSize: -1})
+	q := Query{Kind: KindCount, Range: etl.All(), HasRegion: true, Region: busiestRegion(c)}
+	if _, err := cl.Query(context.Background(), q); err != nil {
+		b.Fatal(err)
+	}
+	benchQuery(b, cl, q)
+}

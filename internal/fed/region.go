@@ -3,87 +3,11 @@ package fed
 import (
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
-	"peoplesnet/internal/geo"
-	"peoplesnet/internal/h3lite"
 )
 
-// NumRegions is the fixed size of the geographic routing vocabulary.
-// It deliberately matches the simulator's 24-region world
-// decomposition (internal/simnet): a region partition then aligns
-// with where activity is actually generated, so PoC traffic for one
-// metro lands on one shard.
-const NumRegions = 24
+// NumRegions is the size of the geographic routing vocabulary
+// (etl.NumRegions).
+const NumRegions = etl.NumRegions
 
-// RegionOf maps a transaction to its routing region. Located
-// transactions (gateway adds/asserts, PoC receipts) use their
-// asserted cell; everything else hashes its home actor — the first
-// address the transaction mentions — so one actor's unlocated
-// activity (payments, rewards entries aside) stays on one shard.
-// Transactions with neither a location nor an actor land in region 0.
-func RegionOf(t chain.Txn) int {
-	if c, ok := txnCell(t); ok {
-		return regionOfPoint(c.Center())
-	}
-	if a := homeActor(t); a != "" {
-		return regionOfActor(a)
-	}
-	return 0
-}
-
-// txnCell extracts the location a transaction asserts, if any.
-func txnCell(t chain.Txn) (h3lite.Cell, bool) {
-	switch v := t.(type) {
-	case *chain.AddGateway:
-		if v.Location.Valid() {
-			return v.Location, true
-		}
-	case *chain.AssertLocation:
-		if v.Location.Valid() {
-			return v.Location, true
-		}
-	case *chain.PoCReceipt:
-		if v.ChallengeeLocation.Valid() {
-			return v.ChallengeeLocation, true
-		}
-	default:
-		// Every other variant routes by home actor.
-	}
-	return h3lite.InvalidCell, false
-}
-
-// homeActor returns the first address the transaction mentions —
-// etl.ActorsOf emits in field order, so this is stable per variant.
-func homeActor(t chain.Txn) string {
-	first := ""
-	etl.ActorsOf(t, func(a string) {
-		if first == "" {
-			first = a
-		}
-	})
-	return first
-}
-
-// regionOfPoint maps a location onto the region set with the same
-// ~4°×4° grid hash the simulator partitions the world with
-// (simnet.regionOfPoint) — kept bit-identical so fed regions coincide
-// with simulation regions.
-func regionOfPoint(p geo.Point) int {
-	gy := uint64((p.Lat + 90) / 4)
-	gx := uint64((p.Lon + 180) / 4)
-	h := gy*0x9e3779b97f4a7c15 ^ gx*0xc2b2ae3d27d4eb4f
-	h ^= h >> 33
-	h *= 0xff51afd7ed558ccd
-	h ^= h >> 33
-	return int(h % NumRegions)
-}
-
-// regionOfActor spreads unlocated activity over the regions by
-// address hash (FNV-1a).
-func regionOfActor(a string) int {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(a); i++ {
-		h ^= uint64(a[i])
-		h *= 1099511628211
-	}
-	return int(h % NumRegions)
-}
+// RegionOf maps a transaction to its routing region (etl.RegionOf).
+func RegionOf(t chain.Txn) int { return etl.RegionOf(t) }

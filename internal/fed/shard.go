@@ -103,6 +103,11 @@ func count(ctx context.Context, n *Node, q Query, p *Partial) error {
 		p.Count = n.store.TxnCount()
 		return nil
 	}
+	if q.HasRegion && len(q.Filter.Types) == 0 && len(q.Filter.Actors) == 0 {
+		// Sealed segments answer from their region summaries.
+		p.Count = n.store.CountRegion(q.Range, q.Region)
+		return nil
+	}
 	return scan(ctx, n, q, func(int64, chain.Txn) bool {
 		p.Count++
 		return true

@@ -79,7 +79,7 @@ func TestTopActorsTiesAtK(t *testing.T) {
 	byRegion := ByRegion(4)
 	for _, h := range homes {
 		for sh := ShardID(0); sh < 4; sh++ {
-			if byRegion.CoversRegion(sh, regionOfActor(h)) {
+			if byRegion.CoversRegion(sh, RegionOf(&chain.Rewards{Entries: []chain.RewardEntry{{Account: h}}})) {
 				shardsOf[sh] = true
 			}
 		}

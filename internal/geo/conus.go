@@ -73,8 +73,8 @@ type MetroArea struct {
 	CountryISO string
 }
 
+// conus is the polygon InConus tests against, built once.
+var conus = ContiguousUS()
+
 // InConus reports whether p falls inside the simplified CONUS polygon.
-func InConus(p Point) bool {
-	conus := ContiguousUS()
-	return conus.Contains(p)
-}
+func InConus(p Point) bool { return conus.Contains(p) }

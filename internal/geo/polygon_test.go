@@ -182,3 +182,51 @@ func TestConusPolygon(t *testing.T) {
 		}
 	}
 }
+
+// TestInConusAgreesWithPolygon: InConus, which tests against a polygon
+// built once, answers as a freshly built ContiguousUS() does on a
+// lat/lon grid over the CONUS bounds and a margin around them.
+func TestInConusAgreesWithPolygon(t *testing.T) {
+	fresh := ContiguousUS()
+	b := fresh.Bounds()
+	inside := 0
+	for lat := b.MinLat - 1; lat <= b.MaxLat+1; lat += 0.25 {
+		for lon := b.MinLon - 1; lon <= b.MaxLon+1; lon += 0.25 {
+			p := Point{Lat: lat, Lon: lon}
+			got, want := InConus(p), fresh.Contains(p)
+			if got != want {
+				t.Fatalf("InConus(%v) = %v, ContiguousUS().Contains = %v", p, got, want)
+			}
+			if got {
+				inside++
+			}
+		}
+	}
+	if inside == 0 {
+		t.Fatal("no grid point inside CONUS")
+	}
+}
+
+// TestInConusAllocsNothing: InConus builds no polygon per call.
+func TestInConusAllocsNothing(t *testing.T) {
+	p := Point{Lat: 39.7392, Lon: -104.9903}
+	if n := testing.AllocsPerRun(100, func() { InConus(p) }); n != 0 {
+		t.Fatalf("InConus allocates %v times per call, want 0", n)
+	}
+}
+
+// TestContiguousUSFreshCopy: each ContiguousUS call returns its own
+// vertices, so a caller editing one cannot move InConus's border.
+func TestContiguousUSFreshCopy(t *testing.T) {
+	denver := Point{Lat: 39.7392, Lon: -104.9903}
+	a := ContiguousUS()
+	for i := range a.Vertices {
+		a.Vertices[i] = Point{}
+	}
+	if b := ContiguousUS(); !b.Contains(denver) {
+		t.Fatal("editing one ContiguousUS result changed the next one")
+	}
+	if !InConus(denver) {
+		t.Fatal("editing a ContiguousUS result changed InConus")
+	}
+}
