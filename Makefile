@@ -47,11 +47,12 @@ bench-live:
 store-bench:
 	$(GO) test -run xxx -bench 'BenchmarkStore' -benchtime 10x .
 
-# Federated query tier under load: P50/P99 per query class, routing
-# precision, 1/2/4/8-shard scaling, every result verified against the
-# raw-chain oracle (EXPERIMENTS.md "Federated fan-out" section).
+# Federated query tier: per-query cost of each query class on 1/2/4/8
+# region shards (EXPERIMENTS.md "Federated fan-out" section). The
+# answers themselves are checked against the raw-chain oracle by the
+# fed test suites.
 bench-fed:
-	$(GO) run ./cmd/fedload -scale $${PEOPLESNET_BENCH_SCALE:-small}
+	$(GO) test -run xxx -bench 'BenchmarkFed' -benchmem ./internal/fed/
 
 # Fixture modules under internal/analysis/testdata hold deliberately
 # bad code for the linter's own tests; fmt skips them (vet and build
@@ -93,10 +94,10 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReaderNoPanic -fuzztime 5s -run xxx ./internal/wire/
 	$(GO) test -fuzz FuzzPostingRoundTrip -fuzztime 10s -run xxx ./internal/etl/
 
-# Federation smoke: 4 height-sliced and 4 region-sliced in-process
-# shards answer the full query matrix under the race detector, every
-# result compared bit-for-bit against the single-store baseline. The
-# kept-ID tests ride along: shards read the upstream blocks, and the
+# Federation smoke: 4 region-sliced in-process shards answer the full
+# query matrix under the race detector, every result compared
+# bit-for-bit against the single-store baseline. The kept-ID tests
+# ride along: shards read the upstream blocks, and the
 # transaction IDs kept on them, while the producer appends.
 fed-smoke:
 	$(GO) test -race -run 'TestFederationSmoke|TestMergedTxnHashes|TestTxnIDsWhileAppending|TestSeqUnrecoverableDegrades' ./internal/fed/
@@ -112,10 +113,10 @@ chaos-smoke:
 	$(GO) test -race -short -run 'TestFedChaos|TestDurableFollowerResume|TestSupervisor' ./internal/fed/
 
 # Follower MTTR: kill a durable supervised shard and measure
-# re-convergence, cold re-ingest vs checkpoint resume
+# re-convergence, cold re-ingest vs resume from its own directory
 # (EXPERIMENTS.md "Follower MTTR" section).
 bench-mttr:
-	$(GO) run ./cmd/fedload -scale $${PEOPLESNET_BENCH_SCALE:-small} -mttr -trials 5
+	$(GO) test -run xxx -bench 'BenchmarkFollowerMTTR' ./internal/fed/
 
 # Live-study smoke: the prefix-equivalence suite under the race
 # detector — the live fold must stay bit-identical to the batch

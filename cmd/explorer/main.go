@@ -27,7 +27,7 @@
 // Usage:
 //
 //	explorer -listen :8080 -scale small -seed 42
-//	explorer -shards 8 -partition height   # federation layout
+//	explorer -shards 8   # federation size (region-partitioned shards)
 //	explorer -store ./etl-store   # durable index, reloaded across restarts
 package main
 
@@ -267,10 +267,9 @@ func (s *server) handleETL(w http.ResponseWriter, _ *http.Request) {
 		}
 	}
 	if s.cluster != nil {
-		part := s.cluster.Partition()
 		federation := map[string]any{
-			"partition":    part.Name(),
-			"num_shards":   part.NumShards(),
+			"partition":    "region",
+			"num_shards":   s.cluster.Partition().NumShards(),
 			"source_tip":   s.world.Chain.Height(),
 			"shards":       s.cluster.Shards(),
 			"result_cache": s.cluster.Router().CacheStats(),
@@ -439,12 +438,11 @@ func writeJSON(w http.ResponseWriter, v any) {
 
 func main() {
 	var (
-		listen    = flag.String("listen", "127.0.0.1:8080", "listen address")
-		seed      = flag.Uint64("seed", 1, "world seed")
-		scale     = flag.String("scale", "small", "small | paper")
-		storeDir  = flag.String("store", "", "durable ETL store directory; must come from the same seed and scale")
-		shards    = flag.Int("shards", 4, "federated shard count")
-		partition = flag.String("partition", "region", "shard partition scheme: height | region")
+		listen   = flag.String("listen", "127.0.0.1:8080", "listen address")
+		seed     = flag.Uint64("seed", 1, "world seed")
+		scale    = flag.String("scale", "small", "small | paper")
+		storeDir = flag.String("store", "", "durable ETL store directory; must come from the same seed and scale")
+		shards   = flag.Int("shards", 4, "federated shard count")
 	)
 	flag.Parse()
 
@@ -485,13 +483,13 @@ func main() {
 	s.live = peoplesnet.Live(s.store, world, peoplesnet.DefaultMeasureOptions())
 	defer s.live.Close()
 
-	cluster, err := buildCluster(world.Chain, *shards, *partition)
+	cluster, err := buildCluster(world.Chain, *shards)
 	if err != nil {
 		log.Fatal(err)
 	}
 	s.cluster = cluster
-	log.Printf("federation: %d %s-partitioned shards caught up to height %d",
-		*shards, *partition, world.Chain.Height())
+	log.Printf("federation: %d region-partitioned shards caught up to height %d",
+		*shards, world.Chain.Height())
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/stats", s.handleStats)
@@ -512,17 +510,8 @@ func main() {
 // buildCluster stands up the in-process federated tier behind /txns
 // and /etl's shard health, and waits for it to catch up to the
 // chain tip before serving.
-func buildCluster(c *chain.Chain, shards int, scheme string) (*fed.Cluster, error) {
-	var part fed.Partition
-	switch scheme {
-	case "height":
-		part = fed.ByHeight(shards, c.Height())
-	case "region":
-		part = fed.ByRegion(shards)
-	default:
-		return nil, fmt.Errorf("unknown partition scheme %q (want height or region)", scheme)
-	}
-	cluster := fed.FollowChain(c, part, fed.Options{
+func buildCluster(c *chain.Chain, shards int) (*fed.Cluster, error) {
+	cluster := fed.FollowChain(c, fed.ByRegion(shards), fed.Options{
 		PerShardTimeout: 10 * time.Second,
 		LagBudget:       64,
 	})

@@ -31,7 +31,7 @@ func testServer(t *testing.T) *server {
 			srvErr = err
 			return
 		}
-		cluster, err := buildCluster(world.Chain, 4, "region")
+		cluster, err := buildCluster(world.Chain, 4)
 		if err != nil {
 			srvErr = err
 			return

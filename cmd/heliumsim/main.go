@@ -8,22 +8,45 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"peoplesnet"
 )
 
+// errUsage marks a command line heliumsim cannot run; main exits 2.
+var errUsage = errors.New("usage: heliumsim [-seed N] [-scale small|paper] [-shards N] [-out FILE] [-report=false]")
+
 func main() {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		fmt.Fprintln(os.Stderr, "heliumsim:", err)
+		if errors.Is(err, errUsage) {
+			os.Exit(2)
+		}
+		os.Exit(1)
+	}
+}
+
+// run parses args, generates the world, writes its chain file if
+// asked and prints the counts (and the report) to stdout.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("heliumsim", flag.ContinueOnError)
 	var (
-		seed   = flag.Uint64("seed", 1, "world seed")
-		scale  = flag.String("scale", "small", "world scale: small | paper")
-		shards = flag.Int("shards", 0, "simulation worker goroutines (0 = all CPUs); any value yields the same chain")
-		out    = flag.String("out", "", "write the chain as JSON lines to this file")
-		report = flag.Bool("report", true, "print the measurement report")
+		seed   = fs.Uint64("seed", 1, "world seed")
+		scale  = fs.String("scale", "small", "world scale: small | paper")
+		shards = fs.Int("shards", 0, "simulation worker goroutines (0 = all CPUs); any value yields the same chain")
+		out    = fs.String("out", "", "write the chain as JSON lines to this file")
+		report = fs.Bool("report", true, "print the measurement report")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return nil
+		}
+		return errUsage
+	}
 
 	var cfg peoplesnet.WorldConfig
 	switch *scale {
@@ -32,36 +55,35 @@ func main() {
 	case "paper":
 		cfg = peoplesnet.PaperWorld(*seed)
 	default:
-		fmt.Fprintf(os.Stderr, "heliumsim: unknown scale %q (small|paper)\n", *scale)
-		os.Exit(2)
+		return fmt.Errorf("unknown scale %q (small|paper): %w", *scale, errUsage)
 	}
 	cfg.Shards = *shards
 
 	world, err := peoplesnet.Simulate(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "heliumsim:", err)
-		os.Exit(1)
+		return err
 	}
-	fmt.Printf("generated %d hotspots, %d txns, %d blocks (seed %d)\n",
+	fmt.Fprintf(stdout, "generated %d hotspots, %d txns, %d blocks (seed %d)\n",
 		len(world.World.Hotspots), world.Chain.TxnCount(), len(world.Chain.Blocks()), *seed)
 
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "heliumsim:", err)
-			os.Exit(1)
+			return err
 		}
 		n, err := world.Chain.WriteTo(f)
-		cerr := f.Close()
-		if err != nil || cerr != nil {
-			fmt.Fprintln(os.Stderr, "heliumsim: write:", err, cerr)
-			os.Exit(1)
+		if cerr := f.Close(); err == nil {
+			err = cerr
 		}
-		fmt.Printf("wrote %s (%d bytes)\n", *out, n)
+		if err != nil {
+			return fmt.Errorf("write: %w", err)
+		}
+		fmt.Fprintf(stdout, "wrote %s (%d bytes)\n", *out, n)
 	}
 
 	if *report {
 		study := peoplesnet.Measure(world)
-		fmt.Println(study.RenderText())
+		fmt.Fprintln(stdout, study.RenderText())
 	}
+	return nil
 }

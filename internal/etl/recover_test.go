@@ -105,7 +105,7 @@ func recoverChain(t testing.TB, nBlocks int) *chain.Chain {
 	return c
 }
 
-// hashesByHeight maps height → ordered txn content hashes.
+// chainHashes maps height → ordered txn content hashes.
 func chainHashes(c *chain.Chain) map[int64][]string {
 	out := make(map[int64][]string)
 	for _, b := range c.Blocks() {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"testing"
+	"time"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
@@ -48,7 +49,7 @@ func BenchmarkFedCountFull(b *testing.B) {
 func BenchmarkFedTxnsPage(b *testing.B) {
 	c := testChain(b)
 	for _, n := range []int{1, 2, 4, 8} {
-		cl := benchCluster(b, c, ByHeight(n, c.Height()), Options{CacheSize: -1})
+		cl := benchCluster(b, c, ByRegion(n), Options{CacheSize: -1})
 		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
 			benchQuery(b, cl, Query{Kind: KindTxns, Range: etl.All(), Limit: 100})
 		})
@@ -139,4 +140,47 @@ func BenchmarkFedCountRegion(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchQuery(b, cl, q)
+}
+
+// BenchmarkFollowerMTTR measures a durable supervised shard's time to
+// recover on two region shards: one iteration kills shard 0 and waits
+// until WaitHeight reaches the tip again. resume restarts over the
+// shard's directory, reading its sealed segments and WAL tail and
+// re-tailing only what is missing; cold wipes the directory first, so
+// the restarted shard re-ingests the chain from genesis.
+func BenchmarkFollowerMTTR(b *testing.B) {
+	c := testChain(b)
+	for _, mode := range []string{"resume", "cold"} {
+		b.Run(mode, func(b *testing.B) {
+			h := newChaosHarness(b, 2, 0x3771, false)
+			opts := h.options()
+			if mode == "cold" {
+				open := opts.ShardStore
+				opts.ShardStore = func(id ShardID) (string, etl.Config) {
+					dir, cfg := open(id)
+					if err := wipeStoreDir(cfg, dir); err != nil {
+						b.Error(err)
+					}
+					return dir, cfg
+				}
+			}
+			cl := FollowChain(c, ByRegion(2), opts)
+			defer cl.Close()
+			cl.Supervise(fastSupervision())
+			ctx, cancel := context.WithTimeout(context.Background(), 10*time.Minute)
+			defer cancel()
+			if err := cl.WaitHeight(ctx, c.Height()); err != nil {
+				b.Fatal(err)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := cl.Kill(0); err != nil {
+					b.Fatal(err)
+				}
+				if err := cl.WaitHeight(ctx, c.Height()); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }

@@ -34,7 +34,7 @@ func TestRouterResultCache(t *testing.T) {
 	tip.Store(99)
 	a := &countingShard{p: Partial{Shard: 0, Tip: 99, Count: 10}}
 	b := &countingShard{p: Partial{Shard: 1, Tip: 99, Count: 3}}
-	part := ByHeight(2, 99)
+	part := ByRegion(2)
 	rt := NewRouter(part, []Shard{a, b}, Options{}, tip.Load)
 
 	q := Query{Kind: KindCount, Range: etl.All()}
@@ -90,7 +90,7 @@ func TestRouterResultCache(t *testing.T) {
 // TestRouterCacheSkipsDegraded: results with missing or stale shards
 // are never admitted, so a recovered shard is consulted next time.
 func TestRouterCacheSkipsDegraded(t *testing.T) {
-	part := ByHeight(2, 99)
+	part := ByRegion(2)
 	fresh := &countingShard{p: Partial{Shard: 0, Tip: 99, Count: 10}}
 	lagged := &countingShard{p: Partial{Shard: 1, Tip: 40, Count: 3}}
 	rt := NewRouter(part, []Shard{fresh, lagged}, Options{LagBudget: 8}, func() int64 { return 99 })
@@ -118,7 +118,7 @@ func TestRouterCacheSkipsDegraded(t *testing.T) {
 // TestRouterCacheDisabled: negative CacheSize turns the cache off, and
 // a router without a source-tip probe never engages it.
 func TestRouterCacheDisabled(t *testing.T) {
-	part := ByHeight(1, 99)
+	part := ByRegion(1)
 	sh := &countingShard{p: Partial{Shard: 0, Tip: 99, Count: 5}}
 	rt := NewRouter(part, []Shard{sh}, Options{CacheSize: -1}, func() int64 { return 99 })
 	for i := 0; i < 2; i++ {
@@ -213,7 +213,7 @@ func TestRouterServeStaleOnOutage(t *testing.T) {
 		tip.Store(99)
 		a := &countingShard{p: Partial{Shard: 0, Tip: 99, Count: 10}}
 		b := &flakyShard{inner: &countingShard{p: Partial{Shard: 1, Tip: 99, Count: 3}}}
-		part := ByHeight(2, 99)
+		part := ByRegion(2)
 		rt := NewRouter(part, []Shard{a, b}, Options{Quorum: quorum, CacheTTL: time.Minute}, tip.Load)
 
 		q := Query{Kind: KindCount, Range: etl.All()}
@@ -265,7 +265,7 @@ func TestRouterServeStaleRespectsTTL(t *testing.T) {
 	build := func(ttl time.Duration, tip *atomic.Int64) (*Router, *flakyShard) {
 		a := &countingShard{p: Partial{Shard: 0, Tip: 99, Count: 10}}
 		b := &flakyShard{inner: &countingShard{p: Partial{Shard: 1, Tip: 99, Count: 3}}}
-		return NewRouter(ByHeight(2, 99), []Shard{a, b}, Options{CacheTTL: ttl}, tip.Load), b
+		return NewRouter(ByRegion(2), []Shard{a, b}, Options{CacheTTL: ttl}, tip.Load), b
 	}
 
 	// Expired entry: the outage query fails quorum rather than serving

@@ -254,19 +254,16 @@ func runChaosScenario(t *testing.T, part Partition, f chaosFault, seed int64) {
 	}
 }
 
-// TestFedChaosMatrix runs every fault kind against the smoke layouts:
+// TestFedChaosMatrix runs every fault kind against the smoke layout:
 // a shard is hurt mid-tail, the supervisor restarts it, and the
 // recovered cluster answers the full query corpus bit-identically to
 // the reference. Meant to run under -race (make chaos-smoke).
 func TestFedChaosMatrix(t *testing.T) {
-	c := testChain(t)
-	for _, part := range []Partition{ByHeight(4, c.Height()), ByRegion(4)} {
-		for fi, f := range chaosFaults() {
-			f := f
-			t.Run(part.Name()+"/"+f.name, func(t *testing.T) {
-				runChaosScenario(t, part, f, 0x9a05+int64(fi)*101)
-			})
-		}
+	for fi, f := range chaosFaults() {
+		f := f
+		t.Run("region/"+f.name, func(t *testing.T) {
+			runChaosScenario(t, ByRegion(4), f, 0x9a05+int64(fi)*101)
+		})
 	}
 }
 
@@ -277,10 +274,9 @@ func TestFedChaosKillAllLayouts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full layout sweep is the long half of the chaos matrix")
 	}
-	c := testChain(t)
 	kill := chaosFaults()[0]
 	seed := int64(0x51117)
-	for name, part := range testPartitions(c.Height()) {
+	for name, part := range testPartitions() {
 		seed++
 		part := part
 		t.Run(name, func(t *testing.T) {
@@ -299,8 +295,7 @@ func TestDurableFollowerResume(t *testing.T) {
 
 	h := newChaosHarness(t, 2, 0xd00d, false)
 	live := chain.NewChain(src.Genesis)
-	part := ByHeight(2, blocks[len(blocks)-1].Height)
-	cl := FollowChain(live, part, h.options())
+	cl := FollowChain(live, ByRegion(2), h.options())
 	defer cl.Close()
 	cl.Supervise(fastSupervision())
 

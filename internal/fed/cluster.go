@@ -55,7 +55,7 @@ func (sl *nodeSlot) downErr() error {
 
 // Cluster bundles a partition's worth of in-process shard nodes with
 // the router fronting them — the single-binary deployment of the
-// federated tier, and the topology cmd/explorer and cmd/fedload run.
+// federated tier, and the topology cmd/explorer runs.
 // With Options.ShardStore set the nodes are durable, and a Supervisor
 // (see Supervise) can restart crashed or wedged ones in place.
 type Cluster struct {

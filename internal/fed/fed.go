@@ -1,9 +1,10 @@
 // Package fed is the federated query tier: N shard nodes — each an
-// etl.Store follower tailing the same producer, owning one slice of a
-// partition — behind a router that plans each query against the
-// partition (hitting only shards whose slice can contain answers),
-// fans it out in parallel with per-shard timeouts, and merges partial
-// results through pluggable aggregation strategies.
+// etl.Store follower tailing the same producer, owning the routing
+// regions of one slice of a partition — behind a router that plans
+// each query against the partition (hitting only shards whose slice
+// can contain answers), fans it out in parallel with per-shard
+// timeouts, and merges partial results through pluggable aggregation
+// strategies.
 //
 // The design invariant that makes everything else simple: every node
 // appends EVERY upstream height to its store, keeping the original
@@ -14,7 +15,7 @@
 // contribute empty partials.
 //
 // Stragglers never block a result: shards that miss their per-shard
-// timeout are reported as height gaps (quorum permitting), and shards
+// timeout are reported as gaps (quorum permitting), and shards
 // trailing the source beyond the lag budget are surfaced as stale in
 // the result rather than awaited.
 package fed
@@ -97,7 +98,7 @@ type Query struct {
 	Range  etl.Range
 	Filter etl.Filter
 	// HasRegion restricts the query to transactions whose RegionOf is
-	// Region — the geographic axis region partitions route on.
+	// Region — the geographic axis partitions route on.
 	HasRegion bool
 	Region    int
 	// K bounds KindTopActors results (<= 0 means 10).
@@ -214,8 +215,8 @@ type Result struct {
 	Planned      []ShardID
 	Contributing int
 	// Stale lists answering shards beyond the lag budget; Missing
-	// lists planned shards that failed or timed out, whose unanswered
-	// height spans appear in Gaps.
+	// lists planned shards that failed or timed out; the query range
+	// they leave unanswered appears in Gaps.
 	Stale   []ShardLag
 	Missing []ShardID
 	Gaps    []etl.Gap

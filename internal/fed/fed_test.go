@@ -114,8 +114,7 @@ func queryMatrix(c *chain.Chain) []Query {
 		{Kind: KindMix, Range: etl.Range{From: tip / 6, To: -1}, HasRegion: true, Region: region},
 		{Kind: KindTxns, Range: etl.All(), HasRegion: true, Region: region, Limit: 50},
 		{Kind: KindTopActors, Range: etl.All(), HasRegion: true, Region: region, K: 10},
-		// Height-scoped narrow window (the routing-precision case for
-		// height partitions).
+		// Height-scoped narrow window.
 		{Kind: KindCount, Range: etl.Range{From: tip - tip/8, To: -1}},
 		{Kind: KindTxns, Range: etl.Range{From: tip - tip/8, To: -1}, Limit: 40},
 		// Empty answer: a range beyond the tip.
@@ -124,10 +123,9 @@ func queryMatrix(c *chain.Chain) []Query {
 }
 
 // testPartitions is the shard-layout corpus of the property test.
-func testPartitions(tip int64) map[string]Partition {
+func testPartitions() map[string]Partition {
 	parts := map[string]Partition{}
 	for _, n := range []int{1, 2, 4, 8} {
-		parts[fmt.Sprintf("height-%d", n)] = ByHeight(n, tip)
 		parts[fmt.Sprintf("region-%d", n)] = ByRegion(n)
 	}
 	// More shards than regions: shards 24+ own nothing at all.
@@ -182,7 +180,7 @@ func TestFederatedBitIdentical(t *testing.T) {
 	c := testChain(t)
 	blocks := c.Blocks()
 	matrix := queryMatrix(c)
-	for name, part := range testPartitions(c.Height()) {
+	for name, part := range testPartitions() {
 		t.Run(name, func(t *testing.T) {
 			cl := testCluster(t, c, part, Options{})
 			for i, q := range matrix {
@@ -199,24 +197,22 @@ func TestFederatedBitIdentical(t *testing.T) {
 	}
 }
 
-// TestFederationSmoke is the make-check matrix: 4 in-process shards
-// per scheme, full query matrix, meant to run under -race.
+// TestFederationSmoke is the make-check matrix: 4 in-process region
+// shards, full query matrix, meant to run under -race.
 func TestFederationSmoke(t *testing.T) {
 	c := testChain(t)
 	blocks := c.Blocks()
 	matrix := queryMatrix(c)
-	for _, part := range []Partition{ByHeight(4, c.Height()), ByRegion(4)} {
-		t.Run(part.Name(), func(t *testing.T) {
-			cl := testCluster(t, c, part, Options{PerShardTimeout: time.Minute})
-			for i, q := range matrix {
-				res, err := cl.Query(context.Background(), q)
-				if err != nil {
-					t.Fatalf("query %d (%s): %v", i, q.Kind, err)
-				}
-				assertSameResult(t, fmt.Sprintf("query %d (%s)", i, q.Kind), res, Reference(blocks, q))
+	t.Run("region", func(t *testing.T) {
+		cl := testCluster(t, c, ByRegion(4), Options{PerShardTimeout: time.Minute})
+		for i, q := range matrix {
+			res, err := cl.Query(context.Background(), q)
+			if err != nil {
+				t.Fatalf("query %d (%s): %v", i, q.Kind, err)
 			}
-		})
-	}
+			assertSameResult(t, fmt.Sprintf("query %d (%s)", i, q.Kind), res, Reference(blocks, q))
+		}
+	})
 }
 
 // TestFederatedPaginationWalk pages through the full listing with a
@@ -226,36 +222,34 @@ func TestFederatedPaginationWalk(t *testing.T) {
 	c := testChain(t)
 	blocks := c.Blocks()
 	want := Reference(blocks, Query{Kind: KindTxns, Range: etl.All(), Filter: etl.Filter{Types: []chain.TxnType{chain.TxnPoCReceipt, chain.TxnPayment}}, Limit: 1 << 30})
-	for name, part := range map[string]Partition{"height": ByHeight(4, c.Height()), "region": ByRegion(4)} {
-		t.Run(name, func(t *testing.T) {
-			cl := testCluster(t, c, part, Options{})
-			var walked []TxnRec
-			q := Query{Kind: KindTxns, Range: etl.All(), Filter: etl.Filter{Types: []chain.TxnType{chain.TxnPoCReceipt, chain.TxnPayment}}, Limit: 37}
-			for pages := 0; ; pages++ {
-				if pages > len(want.Txns)/37+2 {
-					t.Fatal("pagination never terminated")
-				}
-				res, err := cl.Query(context.Background(), q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				walked = append(walked, res.Txns...)
-				if !res.HasMore {
-					break
-				}
-				q.Cursor = res.Next
+	t.Run("region", func(t *testing.T) {
+		cl := testCluster(t, c, ByRegion(4), Options{})
+		var walked []TxnRec
+		q := Query{Kind: KindTxns, Range: etl.All(), Filter: etl.Filter{Types: []chain.TxnType{chain.TxnPoCReceipt, chain.TxnPayment}}, Limit: 37}
+		for pages := 0; ; pages++ {
+			if pages > len(want.Txns)/37+2 {
+				t.Fatal("pagination never terminated")
 			}
-			if len(walked) != len(want.Txns) {
-				t.Fatalf("walked %d txns, want %d", len(walked), len(want.Txns))
+			res, err := cl.Query(context.Background(), q)
+			if err != nil {
+				t.Fatal(err)
 			}
-			for i, rec := range want.Txns {
-				if walked[i].Height != rec.Height || walked[i].Seq != rec.Seq || walked[i].Hash != rec.Hash {
-					t.Fatalf("walked txn %d = (%d,%d,%s), want (%d,%d,%s)",
-						i, walked[i].Height, walked[i].Seq, walked[i].Hash, rec.Height, rec.Seq, rec.Hash)
-				}
+			walked = append(walked, res.Txns...)
+			if !res.HasMore {
+				break
 			}
-		})
-	}
+			q.Cursor = res.Next
+		}
+		if len(walked) != len(want.Txns) {
+			t.Fatalf("walked %d txns, want %d", len(walked), len(want.Txns))
+		}
+		for i, rec := range want.Txns {
+			if walked[i].Height != rec.Height || walked[i].Seq != rec.Seq || walked[i].Hash != rec.Hash {
+				t.Fatalf("walked txn %d = (%d,%d,%s), want (%d,%d,%s)",
+					i, walked[i].Height, walked[i].Seq, walked[i].Hash, rec.Height, rec.Seq, rec.Hash)
+			}
+		}
+	})
 }
 
 // slowShard delays every query long enough to trip the per-shard
@@ -275,12 +269,13 @@ func (s slowShard) Query(ctx context.Context, q Query) (*Partial, error) {
 }
 
 // TestGapReportingAndQuorum: a shard that misses its timeout degrades
-// to reported gaps when the quorum allows, and fails the query when
+// to a reported gap when the quorum allows, and fails the query when
 // it does not.
 func TestGapReportingAndQuorum(t *testing.T) {
 	c := testChain(t)
 	blocks := c.Blocks()
-	part := ByHeight(4, c.Height())
+	tip := c.Height()
+	part := ByRegion(4)
 	cl := testCluster(t, c, part, Options{})
 
 	shards := make([]Shard, len(cl.router.shards))
@@ -291,7 +286,8 @@ func TestGapReportingAndQuorum(t *testing.T) {
 	want := Reference(blocks, q)
 
 	// Quorum 0.5: three of four shards answering is a degraded
-	// success with the missing shard's span reported as a gap.
+	// success. A region shard spans every height, so its gap is the
+	// whole query range.
 	rt := NewRouter(part, shards, Options{PerShardTimeout: 20 * time.Millisecond, Quorum: 0.5}, c.Height)
 	res, err := rt.Query(context.Background(), q)
 	if err != nil {
@@ -300,23 +296,35 @@ func TestGapReportingAndQuorum(t *testing.T) {
 	if len(res.Missing) != 1 || res.Missing[0] != 1 {
 		t.Fatalf("missing = %v, want [1]", res.Missing)
 	}
-	if len(res.Gaps) != 1 {
-		t.Fatalf("gaps = %v, want exactly one", res.Gaps)
-	}
-	gFrom, gTo := part.HeightSpan(1)
-	if res.Gaps[0].From != gFrom || res.Gaps[0].To != gTo {
-		t.Fatalf("gap = %+v, want [%d, %d]", res.Gaps[0], gFrom, gTo)
+	if len(res.Gaps) != 1 || res.Gaps[0] != (etl.Gap{From: 0, To: -1}) {
+		t.Fatalf("gaps = %v, want exactly [0, -1]", res.Gaps)
 	}
 	// The answered shards' counts must equal reference minus the
-	// missing shard's span.
-	missingSpan := Reference(blocks, Query{Kind: KindCount, Range: etl.Range{From: gFrom, To: gTo}})
-	if res.Count != want.Count-missingSpan.Count {
-		t.Fatalf("degraded count %d, want %d", res.Count, want.Count-missingSpan.Count)
+	// missing shard's regions.
+	var missingRegions int64
+	for r := 0; r < NumRegions; r++ {
+		if part.Owns(r) == 1 {
+			missingRegions += Reference(blocks, Query{Kind: KindCount, Range: etl.All(), HasRegion: true, Region: r}).Count
+		}
+	}
+	if res.Count != want.Count-missingRegions {
+		t.Fatalf("degraded count %d, want %d", res.Count, want.Count-missingRegions)
+	}
+	// A bounded range is reported as itself, a range reaching below
+	// genesis is clipped at 0.
+	for _, r := range []etl.Range{{From: tip / 4, To: tip / 2}, {From: -5, To: tip / 2}} {
+		res, err := rt.Query(context.Background(), Query{Kind: KindCount, Range: r})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if g := (etl.Gap{From: max(r.From, 0), To: r.To}); len(res.Gaps) != 1 || res.Gaps[0] != g {
+			t.Fatalf("range %+v: gaps = %v, want [%+v]", r, res.Gaps, g)
+		}
 	}
 
 	// A region-scoped query that doesn't plan the slow shard is
 	// unaffected: gaps only ever cover planned shards.
-	narrow := Query{Kind: KindCount, Range: etl.Range{From: 0, To: gFrom - 1}}
+	narrow := Query{Kind: KindCount, Range: etl.All(), HasRegion: true, Region: 2}
 	res, err = rt.Query(context.Background(), narrow)
 	if err != nil {
 		t.Fatal(err)
@@ -343,7 +351,7 @@ func (s stubShard) Query(context.Context, Query) (*Partial, error) { p := s.p; r
 // TestStaleShardSurfaced: a shard answering from a store beyond the
 // lag budget is flagged in Result.Stale, not awaited and not dropped.
 func TestStaleShardSurfaced(t *testing.T) {
-	part := ByHeight(2, 99)
+	part := ByRegion(2)
 	fresh := stubShard{p: Partial{Shard: 0, Tip: 99, Count: 10}}
 	stale := stubShard{p: Partial{Shard: 1, Tip: 40, Count: 3}}
 	rt := NewRouter(part, []Shard{fresh, stale}, Options{LagBudget: 8}, func() int64 { return 99 })
@@ -364,34 +372,16 @@ func TestStaleShardSurfaced(t *testing.T) {
 	}
 }
 
-// TestRoutingPrecision: scoped queries only plan the shards whose
-// slice can answer, and nearly all planned shards contribute.
+// TestRoutingPrecision: a region-scoped query plans only the shard
+// owning the region, and that shard contributes.
 func TestRoutingPrecision(t *testing.T) {
 	c := testChain(t)
-	tip := c.Height()
-
-	hp := ByHeight(4, tip)
-	hcl := testCluster(t, c, hp, Options{})
-	// A query aligned to shard 0's slice plans exactly that shard.
-	_, s0end := hp.HeightSpan(0)
-	q := Query{Kind: KindCount, Range: etl.Range{From: 0, To: s0end}}
-	if planned := hcl.Plan(q); len(planned) != 1 {
-		t.Fatalf("height-scoped query planned %v shards, want exactly 1 of 4", planned)
-	}
-	res, err := hcl.Query(context.Background(), q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p := res.Precision(); p < 0.9 {
-		t.Fatalf("height-scoped precision %.2f, want >= 0.9", p)
-	}
-
 	rcl := testCluster(t, c, ByRegion(4), Options{})
 	rq := Query{Kind: KindCount, Range: etl.All(), HasRegion: true, Region: busiestRegion(c)}
 	if planned := rcl.Plan(rq); len(planned) != 1 {
 		t.Fatalf("region-scoped query planned %v shards, want exactly 1 of 4", planned)
 	}
-	res, err = rcl.Query(context.Background(), rq)
+	res, err := rcl.Query(context.Background(), rq)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -433,7 +423,7 @@ func TestLiveFollow(t *testing.T) {
 // the source tip.
 func TestShardInfoLag(t *testing.T) {
 	c := testChain(t)
-	cl := testCluster(t, c, ByHeight(4, c.Height()), Options{})
+	cl := testCluster(t, c, ByRegion(4), Options{})
 	infos := cl.Shards()
 	if len(infos) != 4 {
 		t.Fatalf("%d shard infos, want 4", len(infos))

@@ -106,23 +106,12 @@ func (sf shardFeed) Close() { sf.n.src.Close() }
 
 // filter projects an upstream block onto this shard: the original
 // header with only the owned transactions, plus their original
-// intra-block indexes. Height-partitioned shards adopt or blank whole
-// blocks without classifying a single transaction.
+// intra-block indexes.
 func (n *Node) filter(b *chain.Block) (*chain.Block, []int32) {
-	if n.part.HeightOnly() {
-		if n.part.Owns(b.Height, 0) != n.id {
-			return n.header(b), nil
-		}
-		seqs := make([]int32, len(b.Txns))
-		for i := range seqs {
-			seqs[i] = int32(i)
-		}
-		return b, seqs
-	}
 	var txns []chain.Txn
 	var seqs []int32
 	for i, t := range b.Txns {
-		if n.part.Owns(b.Height, RegionOf(t)) == n.id {
+		if n.part.Owns(RegionOf(t)) == n.id {
 			txns = append(txns, t)
 			seqs = append(seqs, int32(i))
 		}

@@ -11,7 +11,7 @@ import (
 // Reference computes the federation-independent answer to q straight
 // from the raw chain: no stores, no indexes, no shards — a direct
 // walk of the producer's blocks. It is the oracle the correctness
-// gates (router property tests, cmd/fedload -verify) compare
+// gates (the router property and chaos tests) compare
 // federated results against, deliberately sharing no query-path code
 // with the tier it checks beyond the actor and region vocabularies.
 func Reference(blocks []*chain.Block, q Query) *Result {

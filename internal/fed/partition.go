@@ -1,142 +1,44 @@
 package fed
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "fmt"
 
-// Partition maps the chain onto shards. Both axes are total: every
-// (height, region) pair is owned by exactly one shard, so the shard
-// stores tile the transaction set with no overlap and no gaps — the
-// property every merge strategy's exactness rests on.
-type Partition interface {
-	// Name identifies the scheme ("height", "region").
-	Name() string
-	// NumShards is the cluster size the partition was built for.
-	NumShards() int
-	// Owns returns the shard owning a transaction at the given height
-	// with the given routing region.
-	Owns(height int64, region int) ShardID
-	// CoversHeights reports whether the shard's slice intersects the
-	// height range [from, to].
-	CoversHeights(sh ShardID, from, to int64) bool
-	// CoversRegion reports whether the shard's slice can contain
-	// transactions of the given routing region.
-	CoversRegion(sh ShardID, region int) bool
-	// HeightOnly reports the partition ignores the region axis, so a
-	// node can adopt or skip whole blocks without classifying txns.
-	HeightOnly() bool
-	// HeightSpan is the height interval the shard can own answers in,
-	// used to convert a missing shard into reported gaps. To is
-	// math.MaxInt64 for open-ended or region-sliced shards.
-	HeightSpan(sh ShardID) (from, to int64)
-	// Describe renders the shard's slice for operators.
-	Describe(sh ShardID) string
-}
-
-// ByHeight partitions [0, tip] into n contiguous height ranges of
-// near-equal width; the last range is open-ended so blocks appended
-// after the split keep landing on the last shard. tip below n-1 still
-// yields n shards (the trailing ones start empty).
-func ByHeight(n int, tip int64) Partition {
-	if n < 1 {
-		n = 1
-	}
-	if tip < 0 {
-		tip = 0
-	}
-	starts := make([]int64, n)
-	span := tip + 1
-	for i := 1; i < n; i++ {
-		starts[i] = span * int64(i) / int64(n)
-	}
-	// Degenerate tiny chains can give duplicate starts; nudge them
-	// apart so Owns stays a function (later duplicates own nothing
-	// real, they just start beyond the tip).
-	for i := 1; i < n; i++ {
-		if starts[i] <= starts[i-1] {
-			starts[i] = starts[i-1] + 1
-		}
-	}
-	return heightPartition{starts: starts}
-}
-
-type heightPartition struct {
-	// starts[i] is the first height shard i owns; shard i ends at
-	// starts[i+1]-1, the last shard is open-ended.
-	starts []int64
-}
-
-func (p heightPartition) Name() string     { return "height" }
-func (p heightPartition) NumShards() int   { return len(p.starts) }
-func (p heightPartition) HeightOnly() bool { return true }
-
-func (p heightPartition) Owns(height int64, _ int) ShardID {
-	// First shard whose start exceeds height, minus one.
-	i := sort.Search(len(p.starts), func(i int) bool { return p.starts[i] > height })
-	if i == 0 {
-		return 0
-	}
-	return ShardID(i - 1)
-}
-
-func (p heightPartition) HeightSpan(sh ShardID) (int64, int64) {
-	from := p.starts[sh]
-	to := int64(math.MaxInt64)
-	if int(sh)+1 < len(p.starts) {
-		to = p.starts[sh+1] - 1
-	}
-	return from, to
-}
-
-func (p heightPartition) CoversHeights(sh ShardID, from, to int64) bool {
-	sf, st := p.HeightSpan(sh)
-	return st >= from && sf <= to
-}
-
-func (p heightPartition) CoversRegion(ShardID, int) bool { return true }
-
-func (p heightPartition) Describe(sh ShardID) string {
-	from, to := p.HeightSpan(sh)
-	if to == math.MaxInt64 {
-		return fmt.Sprintf("heights [%d, ∞)", from)
-	}
-	return fmt.Sprintf("heights [%d, %d]", from, to)
-}
+// Partition maps the chain onto shards by routing region: region r
+// lives on shard r mod n. It is total — every region is owned by
+// exactly one shard — so the shard stores tile the transaction set
+// with no overlap and no gaps, the property every merge strategy's
+// exactness rests on. Every shard spans every height.
+type Partition struct{ n int }
 
 // ByRegion partitions the NumRegions routing regions round-robin
-// across n shards: region r lives on shard r mod n. n beyond
-// NumRegions leaves the surplus shards empty.
+// across n shards. n beyond NumRegions leaves the surplus shards
+// empty.
 func ByRegion(n int) Partition {
 	if n < 1 {
 		n = 1
 	}
-	return regionPartition{n: n}
+	return Partition{n: n}
 }
 
-type regionPartition struct{ n int }
+// NumShards is the cluster size the partition was built for.
+func (p Partition) NumShards() int { return p.n }
 
-func (p regionPartition) Name() string     { return "region" }
-func (p regionPartition) NumShards() int   { return p.n }
-func (p regionPartition) HeightOnly() bool { return false }
-
-func (p regionPartition) Owns(_ int64, region int) ShardID {
+// Owns returns the shard owning transactions of the given routing
+// region.
+func (p Partition) Owns(region int) ShardID {
 	if region < 0 {
 		region = 0
 	}
 	return ShardID(region % p.n)
 }
 
-func (p regionPartition) HeightSpan(ShardID) (int64, int64) { return 0, math.MaxInt64 }
-
-func (p regionPartition) CoversHeights(ShardID, int64, int64) bool { return true }
-
-func (p regionPartition) CoversRegion(sh ShardID, region int) bool {
+// CoversRegion reports whether the shard's slice can contain
+// transactions of the given routing region.
+func (p Partition) CoversRegion(sh ShardID, region int) bool {
 	return region >= 0 && ShardID(region%p.n) == sh
 }
 
-func (p regionPartition) Describe(sh ShardID) string {
+// Describe renders the shard's slice for operators.
+func (p Partition) Describe(sh ShardID) string {
 	owned := 0
 	for r := int(sh); r < NumRegions; r += p.n {
 		owned++

@@ -51,20 +51,13 @@ func (rt *Router) CacheStats() CacheStats {
 }
 
 // Plan selects the shards whose partition slice can contain answers:
-// the routing-precision step. A shard is planned iff its slice
-// intersects the query's height range and, for region-restricted
-// queries, can own the region.
+// the routing-precision step. Every shard spans every height, so a
+// region-restricted query plans the one shard owning the region and
+// any other query plans them all.
 func (rt *Router) Plan(q Query) []ShardID {
-	from, to := q.Range.From, q.Range.To
-	if to < 0 {
-		to = math.MaxInt64
-	}
 	var planned []ShardID
 	for id := range rt.shards {
 		sh := ShardID(id)
-		if !rt.part.CoversHeights(sh, from, to) {
-			continue
-		}
 		if q.HasRegion && !rt.part.CoversRegion(sh, q.Region) {
 			continue
 		}
@@ -152,7 +145,7 @@ func (rt *Router) Query(ctx context.Context, q Query) (*Result, error) {
 			return st, nil
 		}
 	}
-	res.Gaps = rt.gapsFor(q, res.Missing)
+	res.Gaps = gapsFor(q, res.Missing)
 	for _, p := range parts {
 		if behind := srcTip - p.Tip; behind > rt.opts.LagBudget {
 			res.Stale = append(res.Stale, ShardLag{Shard: p.Shard, Tip: p.Tip, Behind: behind})
@@ -204,57 +197,22 @@ func (rt *Router) serveStale(key string, down []ShardID, srcTip int64, start tim
 	return &cp
 }
 
-// gapsFor converts missing shards into the height intervals of the
-// query they leave unanswered: the shard's height span intersected
-// with the query range, merged where adjacent. For region-sliced
-// shards the span is the whole query range — a missing region shard
-// can hide answers at any height.
-func (rt *Router) gapsFor(q Query, missing []ShardID) []etl.Gap {
+// gapsFor converts missing shards into the height interval of the
+// query they leave unanswered. A region shard spans every height, so
+// one missing shard can hide answers anywhere in the query range: the
+// gap is that range clipped at 0, To -1 when it is open-ended
+// (etl's gap convention).
+func gapsFor(q Query, missing []ShardID) []etl.Gap {
 	if len(missing) == 0 {
 		return nil
 	}
-	qFrom, qTo := q.Range.From, q.Range.To
-	if qTo < 0 {
-		qTo = math.MaxInt64
+	g := etl.Gap{From: max(q.Range.From, 0), To: q.Range.To}
+	if g.To < 0 || g.To == math.MaxInt64 {
+		g.To = -1
+	} else if g.From > g.To {
+		return nil
 	}
-	var gaps []etl.Gap
-	for _, id := range missing {
-		from, to := rt.part.HeightSpan(id)
-		if from < qFrom {
-			from = qFrom
-		}
-		if to > qTo {
-			to = qTo
-		}
-		if from > to {
-			continue
-		}
-		g := etl.Gap{From: from, To: to}
-		if to == math.MaxInt64 {
-			g.To = -1 // open-ended, matching etl's gap convention
-		}
-		gaps = append(gaps, g)
-	}
-	sort.Slice(gaps, func(i, j int) bool { return gaps[i].From < gaps[j].From })
-	// Coalesce adjacent/overlapping spans (height partitions produce
-	// back-to-back ranges when neighboring shards both miss).
-	merged := gaps[:0]
-	for _, g := range gaps {
-		if n := len(merged); n > 0 {
-			prev := &merged[n-1]
-			if prev.To == -1 {
-				continue
-			}
-			if g.From <= prev.To+1 {
-				if g.To == -1 || g.To > prev.To {
-					prev.To = g.To
-				}
-				continue
-			}
-		}
-		merged = append(merged, g)
-	}
-	return merged
+	return []etl.Gap{g}
 }
 
 // contributed reports whether a shard's partial holds any answers —

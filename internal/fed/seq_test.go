@@ -2,6 +2,7 @@ package fed
 
 import (
 	"context"
+	"slices"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -31,12 +32,13 @@ func (s holeSource) BlockAt(height int64) *chain.Block {
 func TestSeqUnrecoverableDegrades(t *testing.T) {
 	c := testChain(t)
 	blocks := c.Blocks()
-	part := ByHeight(2, c.Height())
-	// The hidden height: a shard-0 block whose last transaction sits
-	// at a nonzero seq.
+	part := ByRegion(2)
+	onShard0 := func(t chain.Txn) bool { return part.Owns(RegionOf(t)) == 0 }
+	// The hidden height: a block holding a shard-0 transaction at a
+	// nonzero seq.
 	var hole *chain.Block
 	for _, b := range blocks {
-		if len(b.Txns) > 1 && part.Owns(b.Height, 0) == 0 {
+		if len(b.Txns) > 1 && slices.ContainsFunc(b.Txns[1:], onShard0) {
 			hole = b
 			break
 		}
@@ -62,8 +64,8 @@ func TestSeqUnrecoverableDegrades(t *testing.T) {
 	}
 	chaosWait(t, cl, c.Height())
 
-	// The page starts at the hidden height and runs into shard 1's
-	// slice, so shard 1 still answers and the quorum holds.
+	// Shard 1 owns the other regions and still answers, so the quorum
+	// holds.
 	q := Query{Kind: KindTxns, Range: etl.Range{From: hole.Height, To: -1}, Limit: 1 << 20}
 	hidden.Store(hole.Height)
 	res, err := cl.Query(context.Background(), q)
@@ -74,7 +76,7 @@ func TestSeqUnrecoverableDegrades(t *testing.T) {
 		t.Fatalf("missing %v, gaps %v: want shard 0 missing with its gap reported", res.Missing, res.Gaps)
 	}
 	for _, rec := range res.Txns {
-		if part.Owns(rec.Height, 0) == 0 {
+		if onShard0(rec.Txn) {
 			t.Fatalf("degraded answer lists (%d, %d) from the failed shard", rec.Height, rec.Seq)
 		}
 	}

@@ -3,6 +3,7 @@ package fed
 import (
 	"context"
 	"fmt"
+	"slices"
 
 	"peoplesnet/internal/chain"
 	"peoplesnet/internal/etl"
@@ -84,13 +85,9 @@ func scan(ctx context.Context, n *Node, q Query, fn func(h int64, t chain.Txn) b
 	return err
 }
 
-// wholeStore reports the query covers the shard's entire store with
-// no filter, so materialized aggregates answer in O(1)/O(types)
-// without a scan.
-func wholeStore(n *Node, q Query) bool {
-	if q.HasRegion || len(q.Filter.Types) > 0 || len(q.Filter.Actors) > 0 {
-		return false
-	}
+// coversStore reports the query's range covers the shard's entire
+// store.
+func coversStore(n *Node, q Query) bool {
 	first, tip := n.store.FirstHeight(), n.store.Height()
 	if first < 0 {
 		return false
@@ -98,20 +95,46 @@ func wholeStore(n *Node, q Query) bool {
 	return q.Range.From <= first && (q.Range.To < 0 || q.Range.To >= tip)
 }
 
-func count(ctx context.Context, n *Node, q Query, p *Partial) error {
-	if wholeStore(n, q) {
-		p.Count = n.store.TxnCount()
-		return nil
+// wholeStore reports the query covers the shard's entire store with
+// no filter, so materialized aggregates answer in O(1)/O(types)
+// without a scan.
+func wholeStore(n *Node, q Query) bool {
+	if q.HasRegion || len(q.Filter.Types) > 0 || len(q.Filter.Actors) > 0 {
+		return false
 	}
-	if q.HasRegion && len(q.Filter.Types) == 0 && len(q.Filter.Actors) == 0 {
+	return coversStore(n, q)
+}
+
+func count(ctx context.Context, n *Node, q Query, p *Partial) error {
+	noActors := len(q.Filter.Actors) == 0
+	typed := len(q.Filter.Types) > 0
+	switch {
+	case wholeStore(n, q):
+		p.Count = n.store.TxnCount()
+	case noActors && q.HasRegion && !typed:
 		// Sealed segments answer from their region summaries.
 		p.Count = n.store.CountRegion(q.Range, q.Region)
-		return nil
+	case noActors && !q.HasRegion && typed && coversStore(n, q):
+		// The store's type mix answers.
+		p.Count = sumTypes(n.store.TxnMix(), q.Filter.Types)
+	default:
+		return scan(ctx, n, q, func(int64, chain.Txn) bool {
+			p.Count++
+			return true
+		})
 	}
-	return scan(ctx, n, q, func(int64, chain.Txn) bool {
-		p.Count++
-		return true
-	})
+	return nil
+}
+
+// sumTypes sums a type mix over the distinct types listed.
+func sumTypes(mix map[chain.TxnType]int64, types []chain.TxnType) int64 {
+	var n int64
+	for i, tt := range types {
+		if !slices.Contains(types[:i], tt) {
+			n += mix[tt]
+		}
+	}
+	return n
 }
 
 func mix(ctx context.Context, n *Node, q Query, p *Partial) error {

@@ -52,8 +52,7 @@ func TestSupervisorBreakerTransitions(t *testing.T) {
 	}
 	var healed atomic.Bool
 
-	part := ByHeight(2, c.Height())
-	cl := FollowChain(c, part, Options{
+	cl := FollowChain(c, ByRegion(2), Options{
 		PerShardTimeout: time.Minute,
 		Quorum:          0.5,
 		CacheSize:       -1,
@@ -87,7 +86,6 @@ func TestSupervisorBreakerTransitions(t *testing.T) {
 
 	// Open breaker: a full-range query completes immediately with the
 	// dead shard degraded to its gap — no blocking on restart cycles.
-	gFrom, gTo := part.HeightSpan(0)
 	start := time.Now()
 	res, err := cl.Query(context.Background(), Query{Kind: KindCount, Range: etl.All()})
 	if err != nil {
@@ -96,8 +94,8 @@ func TestSupervisorBreakerTransitions(t *testing.T) {
 	if len(res.Missing) != 1 || res.Missing[0] != 0 {
 		t.Fatalf("missing = %v, want [0]", res.Missing)
 	}
-	if len(res.Gaps) != 1 || res.Gaps[0].From != gFrom || res.Gaps[0].To != gTo {
-		t.Fatalf("gaps = %+v, want [[%d, %d]]", res.Gaps, gFrom, gTo)
+	if len(res.Gaps) != 1 || res.Gaps[0] != (etl.Gap{From: 0, To: -1}) {
+		t.Fatalf("gaps = %+v, want [[0, -1]]", res.Gaps)
 	}
 	if waited := time.Since(start); waited > 5*time.Second {
 		t.Fatalf("open-breaker query took %v — it blocked instead of degrading", waited)
@@ -140,7 +138,7 @@ func TestSupervisorBreakerTransitions(t *testing.T) {
 // error, and still honors its context deadline.
 func TestSupervisorWaitHeightToleratesDownShard(t *testing.T) {
 	c := testChain(t)
-	cl := testCluster(t, c, ByHeight(2, c.Height()), Options{})
+	cl := testCluster(t, c, ByRegion(2), Options{})
 
 	// Unsupervised: killing a shard fails WaitHeight immediately.
 	if err := cl.Kill(0); err != nil {

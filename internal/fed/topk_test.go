@@ -89,7 +89,7 @@ func TestTopActorsTiesAtK(t *testing.T) {
 	}
 	c := rewardsChain(t, txns)
 	blocks := c.Blocks()
-	for name, part := range testPartitions(c.Height()) {
+	for name, part := range testPartitions() {
 		t.Run(name, func(t *testing.T) {
 			cl := testCluster(t, c, part, Options{CacheSize: -1})
 			for _, k := range []int{1, 4, 5, 6, 9, 12, 30, 100} {
