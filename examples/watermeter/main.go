@@ -22,9 +22,8 @@ import (
 func main() {
 	rng := stats.NewRNG(11)
 
-	// The Console: OUI 1, charging users at cost.
+	// The Console, charging users at cost.
 	console := router.New(router.Config{
-		OUI:            1,
 		Owner:          "console",
 		ChargeUsers:    true,
 		LatencySampler: func() float64 { return 0.3 },

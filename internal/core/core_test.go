@@ -391,7 +391,7 @@ func TestBalanceHistoryHeuristic(t *testing.T) {
 	// Reconstructed final balance matches the ledger.
 	commTS.Sort()
 	final := commTS.Ys[commTS.Len()-1]
-	ledgerBal := float64(d.Chain.Ledger().GetAccount(commercial).HNTBones)
+	ledgerBal := float64(d.Chain.(*chain.Chain).Ledger().GetAccount(commercial).HNTBones)
 	if final != ledgerBal {
 		t.Fatalf("reconstructed balance %v != ledger %v", final, ledgerBal)
 	}

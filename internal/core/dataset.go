@@ -1,7 +1,7 @@
 // Package core is the paper's primary contribution re-implemented as
-// a library: the measurement engine that turns a Helium ledger, a p2p
-// peerbook, and IP-level metadata into every table and figure of the
-// study — hotspot moves and growth (§4), ownership and resale (§4.3),
+// a library: the measurement engine that turns a Helium chain's
+// transactions, a p2p peerbook, and IP-level metadata into every table
+// and figure of the study — hotspot moves and growth (§4), ownership and resale (§4.3),
 // traffic through state channels (§5), ISP/ASN concentration and relay
 // topology (§6), incentive audits (§7), and coverage models (§8.2).
 package core
@@ -36,8 +36,6 @@ type ChainView interface {
 	TxnCount() int64
 	// TxnMix counts transactions by type.
 	TxnMix() map[chain.TxnType]int64
-	// Ledger exposes the replayed ledger state.
-	Ledger() *chain.Ledger
 	// Scan visits every transaction in height order until fn returns
 	// false.
 	Scan(fn func(height int64, t chain.Txn) bool)

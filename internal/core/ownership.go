@@ -65,20 +65,22 @@ type OwnershipAnalysis struct {
 }
 
 // OwnershipState is the §4.3 fold. It consumes add_gateway,
-// transfer_hotspot and state_channel_close transactions in chain order
-// and keeps, per hotspot, its owner, data packets and meta city; per
-// owner, the fleet size, the data total and a multiset of cities; the
-// fleet-size histogram; and the set of bulk owners. A hotspot's
-// packets move with it when it is sold, as the ledger's per-hotspot
-// counter does. The fold trusts the chain's validation: it ignores
-// only what it cannot apply (a repeated add_gateway, or a transfer or
-// summary naming an unknown hotspot).
+// transfer_hotspot, state_channel_close and the HNT-moving transactions
+// in chain order and keeps, per hotspot, its owner, data packets and
+// meta city; per owner, the fleet size, the data total and a multiset
+// of cities; the fleet-size histogram; the set of bulk owners; and
+// every account's HNT balance. A hotspot's packets move with it when it
+// is sold, as the ledger's per-hotspot counter does. The fold trusts
+// the chain's validation: it ignores only what it cannot apply (a
+// repeated add_gateway, or a transfer or summary naming an unknown
+// hotspot).
 type OwnershipState struct {
 	meta     map[string]HotspotMeta
 	hotspots map[string]heldHotspot
 	owners   map[string]*ownerTally
 	perOwner *stats.Histogram
 	bulk     map[string]*ownerTally // owners with ≥ bulkOwner hotspots
+	balances map[string]int64       // HNT bones per account
 }
 
 // heldHotspot is one hotspot's slice of OwnershipState.
@@ -112,14 +114,20 @@ func NewOwnershipState(meta map[string]HotspotMeta) *OwnershipState {
 		owners:   make(map[string]*ownerTally),
 		perOwner: stats.NewHistogram(),
 		bulk:     make(map[string]*ownerTally),
+		balances: make(map[string]int64),
 	}
 }
 
 // ownershipTxnTypes are the transaction types OwnershipState consumes.
-var ownershipTxnTypes = []chain.TxnType{chain.TxnAddGateway, chain.TxnTransferHotspot, chain.TxnStateChannelClose}
+var ownershipTxnTypes = []chain.TxnType{
+	chain.TxnAddGateway, chain.TxnTransferHotspot, chain.TxnStateChannelClose,
+	chain.TxnSecurityCoinbase, chain.TxnRewards, chain.TxnPayment,
+	chain.TxnTokenBurn, chain.TxnStakeValidator,
+}
 
 // ApplyTxn folds one transaction; other types are ignored.
 func (st *OwnershipState) ApplyTxn(height int64, t chain.Txn) {
+	hntMoves(t, st.credit)
 	switch v := t.(type) {
 	case *chain.AddGateway:
 		if _, dup := st.hotspots[v.Gateway]; dup {
@@ -155,6 +163,9 @@ func (st *OwnershipState) ApplyTxn(height int64, t chain.Txn) {
 		// hotspot carried.
 	}
 }
+
+// credit adds bones to addr's HNT balance.
+func (st *OwnershipState) credit(addr string, bones int64) { st.balances[addr] += bones }
 
 // owner returns addr's tally, creating an empty one.
 func (st *OwnershipState) owner(addr string) *ownerTally {
@@ -230,12 +241,11 @@ func (o *ownerTally) dropCity(city string) {
 	}
 }
 
-// Finalize materializes §4.3. It costs O(bulk owners): its one ledger
-// read is each bulk owner's HNT balance. Only while no owner holds
-// bulkOwner hotspots does the largest-owner tie break walk every
-// owner. Ties (largest owner, equal fleet sizes in Bulk) break toward
+// Finalize materializes §4.3. It costs O(bulk owners). Only while no
+// owner holds bulkOwner hotspots does the largest-owner tie break walk
+// every owner. Ties (largest owner, equal fleet sizes in Bulk) break toward
 // the smaller address. The state keeps folding after a snapshot.
-func (st *OwnershipState) Finalize(ledger *chain.Ledger) OwnershipAnalysis {
+func (st *OwnershipState) Finalize() OwnershipAnalysis {
 	o := OwnershipAnalysis{
 		Owners:   len(st.owners),
 		Hotspots: len(st.hotspots),
@@ -245,7 +255,7 @@ func (st *OwnershipState) Finalize(ledger *chain.Ledger) OwnershipAnalysis {
 		p := OwnerProfile{
 			Address:     a.addr,
 			Hotspots:    a.hotspots,
-			HNTBones:    ledger.GetAccount(a.addr).HNTBones,
+			HNTBones:    st.balances[a.addr],
 			DataPackets: a.data,
 			Cities:      len(a.cities),
 		}
@@ -277,16 +287,15 @@ func (st *OwnershipState) Finalize(ledger *chain.Ledger) OwnershipAnalysis {
 	return o
 }
 
-// AnalyzeOwnership folds ownership from genesis — the identical fold
-// the live view extends per block — and reads bulk owners' balances
-// from the view's ledger.
+// AnalyzeOwnership folds ownership and balances from genesis — the
+// identical fold the live view extends per block.
 func (d *Dataset) AnalyzeOwnership() OwnershipAnalysis {
 	st := NewOwnershipState(d.Meta)
 	d.Chain.ScanTypes(ownershipTxnTypes, func(h int64, t chain.Txn) bool {
 		st.ApplyTxn(h, t)
 		return true
 	})
-	return st.Finalize(d.Chain.Ledger())
+	return st.Finalize()
 }
 
 // bulkOwner is the fleet size from which an owner is profiled in
@@ -316,53 +325,50 @@ func classifyOwner(p OwnerProfile) InferredClass {
 func (d *Dataset) BalanceHistory(owner string) *stats.TimeSeries {
 	ts := stats.NewTimeSeries("HNT balance (bones): " + owner)
 	var balance int64
+	credit := func(addr string, bones int64) {
+		if addr == owner {
+			balance += bones
+		}
+	}
 	d.Chain.Scan(func(h int64, t chain.Txn) bool {
 		before := balance
-		switch v := t.(type) {
-		case *chain.SecurityCoinbase:
-			if v.Payee == owner {
-				balance += v.AmountBones
-			}
-		case *chain.Rewards:
-			for _, e := range v.Entries {
-				if e.Account == owner {
-					balance += e.AmountBones
-				}
-			}
-		case *chain.Payment:
-			if v.Payer == owner {
-				balance -= v.AmountBones
-			}
-			if v.Payee == owner {
-				balance += v.AmountBones
-			}
-		case *chain.TokenBurn:
-			if v.Payer == owner {
-				balance -= v.AmountBones
-			}
-		case *chain.TransferHotspot:
-			if v.AmountBones > 0 {
-				if v.Buyer == owner {
-					balance -= v.AmountBones
-				}
-				if v.Seller == owner {
-					balance += v.AmountBones
-				}
-			}
-		case *chain.StakeValidator:
-			if v.Owner == owner {
-				balance -= chain.StakeValidatorBones
-			}
-		default:
-			// Gateway, PoC, OUI, routing, and state-channel txns move
-			// DC or state, never an HNT balance.
-		}
+		hntMoves(t, credit)
 		if balance != before {
 			ts.Append(h, float64(balance))
 		}
 		return true
 	})
 	return ts
+}
+
+// hntMoves calls credit once for each HNT balance change t makes, with
+// the signed amount in bones, as the ledger applies it. It is core's
+// one copy of the HNT rules: BalanceHistory and OwnershipState both
+// fold balances through it.
+func hntMoves(t chain.Txn, credit func(addr string, bones int64)) {
+	switch v := t.(type) {
+	case *chain.SecurityCoinbase:
+		credit(v.Payee, v.AmountBones)
+	case *chain.Rewards:
+		for _, e := range v.Entries {
+			credit(e.Account, e.AmountBones)
+		}
+	case *chain.Payment:
+		credit(v.Payer, -v.AmountBones)
+		credit(v.Payee, v.AmountBones)
+	case *chain.TokenBurn:
+		credit(v.Payer, -v.AmountBones)
+	case *chain.TransferHotspot:
+		if v.AmountBones > 0 {
+			credit(v.Buyer, -v.AmountBones)
+			credit(v.Seller, v.AmountBones)
+		}
+	case *chain.StakeValidator:
+		credit(v.Owner, -chain.StakeValidatorBones)
+	default:
+		// Gateway, PoC, OUI, routing, and state-channel txns move
+		// DC or state, never an HNT balance.
+	}
 }
 
 // Encashes applies the §4.3 heuristic to a balance history: a wallet
@@ -469,10 +475,11 @@ func (st *ResaleState) ApplyTxn(height int64, t chain.Txn) {
 func (st *ResaleState) Total() int64 { return st.total }
 
 // Finalize materializes Fig 7 against the given total hotspot count
-// (the denominator of TransferredFrac comes from the ledger, not the
-// fold). The state keeps folding after a snapshot. The trader ranking
-// is totally ordered (activity, then address), so the topN cut is
-// deterministic; it is selected without sorting every trader.
+// (the denominator of TransferredFrac: the add_gateway transactions,
+// which this fold does not see). The state keeps folding after a
+// snapshot. The trader ranking is totally ordered (activity, then
+// address), so the topN cut is deterministic; it is selected without
+// sorting every trader.
 func (st *ResaleState) Finalize(topN, hotspotCount int) ResaleAnalysis {
 	r := ResaleAnalysis{
 		TotalTransfers:      st.total,
@@ -532,5 +539,5 @@ func (d *Dataset) AnalyzeResale(topN int) ResaleAnalysis {
 		st.ApplyTxn(h, t)
 		return true
 	})
-	return st.Finalize(topN, d.Chain.Ledger().HotspotCount())
+	return st.Finalize(topN, int(d.Chain.TxnMix()[chain.TxnAddGateway]))
 }

@@ -100,7 +100,7 @@ func foldAgainstOracle(t *testing.T, l *chain.Ledger, blocks []*chain.Block, met
 			}
 			st.ApplyTxn(b.Height, txn)
 		}
-		got, want := st.Finalize(l), analyzeOwnershipLedger(l, meta)
+		got, want := st.Finalize(), analyzeOwnershipLedger(l, meta)
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("height %d: fold diverges from the ledger walk\n fold: %+v\nwalk: %+v", b.Height, got, want)
 		}
@@ -122,7 +122,6 @@ func TestOwnershipFoldBruteForce(t *testing.T) {
 		}
 		d := FromSimulation(w)
 		l := chain.NewLedger()
-		l.SetPoCInterval(w.Chain.Ledger().PoCInterval())
 		var sawBulk, sawTransfer bool
 		foldAgainstOracle(t, l, w.Chain.Blocks(), d.Meta, func(b *chain.Block, got, _ OwnershipAnalysis) {
 			sawBulk = sawBulk || len(got.Bulk) > 0
@@ -249,6 +248,75 @@ func expectBulk(o OwnershipAnalysis, owners ...string) error {
 		return fmt.Errorf("bulk owners %v, want %v", got, owners)
 	}
 	return nil
+}
+
+// requireBalances checks the fold's HNT balance of every account the
+// ledger holds, and that the fold holds no balance the ledger lacks.
+func requireBalances(t *testing.T, st *OwnershipState, l *chain.Ledger) {
+	t.Helper()
+	accounts := l.Accounts()
+	for _, a := range accounts {
+		if got := st.balances[a.Address]; got != a.HNTBones {
+			t.Fatalf("account %s: folded balance %d, ledger %d", a.Address, got, a.HNTBones)
+		}
+	}
+	for addr, bones := range st.balances {
+		if l.GetAccount(addr).HNTBones != bones {
+			t.Fatalf("account %s: folded balance %d, ledger %d", addr, bones, l.GetAccount(addr).HNTBones)
+		}
+	}
+	if len(accounts) == 0 {
+		t.Fatal("ledger holds no accounts")
+	}
+}
+
+// TestHNTFoldMatchesLedger pins OwnershipState's balance fold to the
+// chain ledger for every account: on SmallWorlds 1–5, and on a
+// hand-built chain carrying each of the six HNT-moving transaction
+// types, token_burn and stake_validator among them (simnet emits
+// neither).
+func TestHNTFoldMatchesLedger(t *testing.T) {
+	for seed := uint64(1); seed <= 5; seed++ {
+		w, err := simnet.Generate(simnet.TestConfig(seed))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := NewOwnershipState(nil)
+		for _, b := range w.Chain.Blocks() {
+			for _, txn := range b.Txns {
+				st.ApplyTxn(b.Height, txn)
+			}
+		}
+		requireBalances(t, st, w.Chain.Ledger())
+	}
+
+	const hnt = chain.BonesPerHNT
+	blocks := [][]chain.Txn{
+		{&chain.SecurityCoinbase{Payee: "whale", AmountBones: 30_000 * hnt},
+			&chain.SecurityCoinbase{Payee: "buyer", AmountBones: 40 * hnt},
+			&chain.AddGateway{Gateway: "hs1", Owner: "seller"}},
+		{&chain.Rewards{Epoch: 1, Entries: []chain.RewardEntry{
+			{Account: "seller", Gateway: "hs1", AmountBones: 7 * hnt},
+			{Account: "miner", AmountBones: 3 * hnt},
+			{Account: "seller", AmountBones: 2 * hnt},
+		}}},
+		{&chain.Payment{Payer: "whale", Payee: "miner", AmountBones: 500 * hnt}},
+		{&chain.TokenBurn{Payer: "miner", Destination: "router", AmountBones: 120 * hnt}},
+		{&chain.StakeValidator{Owner: "whale", Validator: "val1"}},
+		{&chain.TransferHotspot{Gateway: "hs1", Seller: "seller", Buyer: "buyer", AmountBones: 25 * hnt}},
+	}
+	c := chain.NewChain(chain.DefaultGenesis)
+	st := NewOwnershipState(nil)
+	for i, txns := range blocks {
+		b, err := c.AppendBlock(int64(i+1), txns)
+		if err != nil {
+			t.Fatalf("build block %d: %v", i+1, err)
+		}
+		for _, txn := range b.Txns {
+			st.ApplyTxn(b.Height, txn)
+		}
+		requireBalances(t, st, c.Ledger())
+	}
 }
 
 // TestOwnershipFoldMatchesLedgerWalkPaperScale compares the batch

@@ -36,17 +36,18 @@ type trafficPoint struct {
 }
 
 // TrafficState is the §5 fold: per-close series, totals, per-owner
-// close counts (the Console share is resolved against the ledger's
-// OUI registry at finalize time, because an OUI may register after
-// its first close), a deque of the closes inside the trailing week of
-// the current tip, and the settled part of the spike detector.
-// Closes must arrive in chain order, as ScanType and a block tail
-// deliver them, so the per-close series is already sorted.
+// close counts, the OUI registry (the Console share is resolved
+// against it at finalize time, because an OUI may register after its
+// first close), a deque of the closes inside the trailing week of the
+// current tip, and the settled part of the spike detector. Closes
+// must arrive in chain order, as ScanTypes and a block tail deliver
+// them, so the per-close series is already sorted.
 type TrafficState struct {
 	perClose      *stats.TimeSeries
 	totalPackets  int64
 	closes        int64
 	closesByOwner map[string]int64
+	ouiOwner      map[uint32]string // registered OUI → owner
 	win           []trafficPoint
 	winHead       int
 	winSum        int64
@@ -58,13 +59,21 @@ func NewTrafficState() *TrafficState {
 	return &TrafficState{
 		perClose:      stats.NewTimeSeries("packets per SC close"),
 		closesByOwner: make(map[string]int64),
+		ouiOwner:      make(map[uint32]string),
 		spike:         newSpikeScan(),
 	}
 }
 
-// ApplyTxn folds one transaction; anything but state_channel_close is
-// ignored.
+// trafficTxnTypes are the transaction types TrafficState consumes.
+var trafficTxnTypes = []chain.TxnType{chain.TxnStateChannelClose, chain.TxnOUI}
+
+// ApplyTxn folds one transaction; anything but state_channel_close
+// and oui is ignored.
 func (st *TrafficState) ApplyTxn(height int64, t chain.Txn) {
+	if o, ok := t.(*chain.OUIRegistration); ok {
+		st.ouiOwner[o.OUI] = o.Owner
+		return
+	}
 	cl, ok := t.(*chain.StateChannelClose)
 	if !ok {
 		return
@@ -95,20 +104,20 @@ func (st *TrafficState) evict(tip int64) {
 }
 
 // Finalize materializes §5 at the given tip, resolving the Console
-// share against the ledger's OUI registry. The spike detector scores
+// share against the folded OUI registry. The spike detector scores
 // only the closes that arrived since the last Finalize plus the last
 // spikeWindow ones, whose baselines a later close can still change.
 // The state keeps folding after a snapshot.
-func (st *TrafficState) Finalize(tip int64, ledger *chain.Ledger) TrafficAnalysis {
+func (st *TrafficState) Finalize(tip int64) TrafficAnalysis {
 	t := TrafficAnalysis{
 		PerClose:     st.perClose.Clone(),
 		TotalPackets: st.totalPackets,
 	}
 	// Map owner wallets to OUIs for the Console share.
 	ouiOf := make(map[string]uint32)
-	for _, o := range ledger.OUIs() {
-		if _, taken := ouiOf[o.Owner]; !taken || o.OUI < ouiOf[o.Owner] {
-			ouiOf[o.Owner] = o.OUI
+	for oui, owner := range st.ouiOwner {
+		if cur, taken := ouiOf[owner]; !taken || oui < cur {
+			ouiOf[owner] = oui
 		}
 	}
 	var consoleCloses int64
@@ -128,15 +137,15 @@ func (st *TrafficState) Finalize(tip int64, ledger *chain.Ledger) TrafficAnalysi
 	return t
 }
 
-// AnalyzeTraffic folds state-channel closes from genesis — the
-// identical fold the live view extends per block.
+// AnalyzeTraffic folds state-channel closes and OUI registrations
+// from genesis — the identical fold the live view extends per block.
 func (d *Dataset) AnalyzeTraffic() TrafficAnalysis {
 	st := NewTrafficState()
-	d.Chain.ScanType(chain.TxnStateChannelClose, func(h int64, tx chain.Txn) bool {
+	d.Chain.ScanTypes(trafficTxnTypes, func(h int64, tx chain.Txn) bool {
 		st.ApplyTxn(h, tx)
 		return true
 	})
-	return st.Finalize(d.Chain.Height(), d.Chain.Ledger())
+	return st.Finalize(d.Chain.Height())
 }
 
 // detectSpike finds the largest contiguous run of closes whose packet
@@ -260,16 +269,31 @@ type RouterAnalysis struct {
 	ThirdPartyOUI []uint32
 }
 
-// AnalyzeRouters lists the OUI registry.
+// AnalyzeRouters lists the OUI registry TrafficState folds from the
+// chain's oui transactions.
 func (d *Dataset) AnalyzeRouters() RouterAnalysis {
-	r := RouterAnalysis{}
-	for _, o := range d.Chain.Ledger().OUIs() {
-		r.OUIs++
-		if o.OUI <= 2 {
+	st := NewTrafficState()
+	d.Chain.ScanType(chain.TxnOUI, func(h int64, tx chain.Txn) bool {
+		st.ApplyTxn(h, tx)
+		return true
+	})
+	return st.routers()
+}
+
+// routers lists the folded OUI registry in OUI order.
+func (st *TrafficState) routers() RouterAnalysis {
+	ouis := make([]uint32, 0, len(st.ouiOwner))
+	for oui := range st.ouiOwner {
+		ouis = append(ouis, oui)
+	}
+	sort.Slice(ouis, func(i, j int) bool { return ouis[i] < ouis[j] })
+	r := RouterAnalysis{OUIs: len(ouis)}
+	for _, oui := range ouis {
+		if oui <= 2 {
 			r.ConsoleOUIs++
-			r.ConsoleOwner = o.Owner
+			r.ConsoleOwner = st.ouiOwner[oui]
 		} else {
-			r.ThirdPartyOUI = append(r.ThirdPartyOUI, o.OUI)
+			r.ThirdPartyOUI = append(r.ThirdPartyOUI, oui)
 		}
 	}
 	return r

@@ -72,7 +72,6 @@ func TestSpikeBaselineMatchesNaive(t *testing.T) {
 			rng := stats.NewRNG(seed*1000 + uint64(n))
 			ts := stats.NewTimeSeries("closes")
 			st := NewTrafficState()
-			ledger := chain.NewLedger()
 			h := int64(0)
 			for i := 0; i < n; i++ {
 				h += int64(rng.Intn(3))
@@ -82,7 +81,7 @@ func TestSpikeBaselineMatchesNaive(t *testing.T) {
 				}
 				ts.Append(h, y)
 				st.ApplyTxn(h, &chain.StateChannelClose{Summaries: []chain.SCSummary{{Packets: int64(y)}}})
-				tr := st.Finalize(h, ledger)
+				tr := st.Finalize(h)
 				if i%(13+n/25) != 0 && i != n-1 {
 					continue // the naive recount is quadratic; check a sample of prefixes
 				}

@@ -121,8 +121,8 @@ func FromChain(c *chain.Chain) *Store {
 	return s
 }
 
-// SetLedger attaches the ledger state the View serves. BulkLoad and
-// FollowChain call this with the source chain's ledger.
+// SetLedger attaches a source chain's ledger for Ledger to return.
+// BulkLoad and FollowChain call it with the chain they ingest.
 func (s *Store) SetLedger(l *chain.Ledger) {
 	s.mu.Lock()
 	s.ledger = l

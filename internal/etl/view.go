@@ -41,7 +41,8 @@ func (s *Store) TxnMix() map[chain.TxnType]int64 {
 }
 
 // Ledger returns the attached source-chain ledger (nil until
-// SetLedger, BulkLoad, or FollowChain).
+// SetLedger, BulkLoad, or FollowChain). No analysis reads it; a live
+// study's replica ledger validates with its PoC challenge interval.
 func (s *Store) Ledger() *chain.Ledger {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -62,7 +63,6 @@ func (v *View) Height() int64                   { return v.s.Height() }
 func (v *View) FirstHeight() int64              { return v.s.FirstHeight() }
 func (v *View) TxnCount() int64                 { return v.s.TxnCount() }
 func (v *View) TxnMix() map[chain.TxnType]int64 { return v.s.TxnMix() }
-func (v *View) Ledger() *chain.Ledger           { return v.s.Ledger() }
 
 // Scan visits every transaction in height order.
 func (v *View) Scan(fn func(height int64, t chain.Txn) bool) {

@@ -197,7 +197,6 @@ func Run(cfg Config) (*Result, error) {
 	// packet (base + jitter + relay penalty via closure state).
 	extraLatency := 0.0
 	rtr := router.New(router.Config{
-		OUI:   1,
 		Owner: "console",
 		LatencySampler: func() float64 {
 			l := cfg.RouterLatencyBase + routerRNG.Exponential(1/maxf(cfg.RouterLatencyJit, 1e-9))

@@ -22,7 +22,7 @@ func TestFullStackInProcess(t *testing.T) {
 
 	// Cloud side: a Console-style router with a registered device.
 	rtr := router.New(router.Config{
-		OUI: 1, Owner: "console",
+		Owner:          "console",
 		LatencySampler: func() float64 { return 0.2 },
 	}, rng)
 	var appKey lorawan.AppKey
@@ -96,9 +96,5 @@ func TestFullStackInProcess(t *testing.T) {
 	// Economics: the miner earned DC for the join + data packets.
 	if st := miner.Stats(); st.PacketsSold != packets+1 || st.DCEarned < int64(packets) {
 		t.Fatalf("miner stats = %+v", st)
-	}
-	// The router queued real chain transactions for its channel.
-	if txns := rtr.PendingTxns(); len(txns) < 2 {
-		t.Fatalf("router emitted %d txns", len(txns))
 	}
 }

@@ -78,7 +78,8 @@ type Snapshot struct {
 	StoreTip  int64
 	LagBlocks int64
 	// ApplyErrs counts transactions the ledger replica rejected (0 on
-	// a healthy chain; nonzero means the replica diverged).
+	// a healthy chain; nonzero means the replica diverged). The views
+	// read only the folds, never the replica.
 	ApplyErrs int64
 
 	Summary   core.ChainSummary
@@ -264,9 +265,9 @@ func (st *Study) Snapshot() Snapshot {
 		Summary:     st.summary.Finalize(st.pocWeight()),
 		Moves:       st.moves.Finalize(),
 		Growth:      st.growth.Finalize(),
-		Ownership:   st.ownership.Finalize(st.ledger),
-		Resale:      st.resale.Finalize(st.opts.Measure.ResaleTopN, st.ledger.HotspotCount()),
-		Traffic:     st.traffic.Finalize(st.height, st.ledger),
+		Ownership:   st.ownership.Finalize(),
+		Resale:      st.resale.Finalize(st.opts.Measure.ResaleTopN, int(st.growth.Total())),
+		Traffic:     st.traffic.Finalize(st.height),
 		Window: WindowSnapshot{
 			Days:      st.opts.WindowDays,
 			TipDay:    -1,

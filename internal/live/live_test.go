@@ -11,6 +11,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -37,9 +38,8 @@ func smallWorld(t testing.TB, days int, seed uint64) *simnet.Result {
 }
 
 // batchViews is the batch-path measurement of one chain prefix: a
-// fresh store over blocks ≤ h, its ledger replayed from genesis, and
-// the six fold-form analyses run the way peoplesnet.Measure runs
-// them.
+// fresh store over blocks ≤ h and the six fold-form analyses run the
+// way peoplesnet.Measure runs them.
 type batchViews struct {
 	Summary   core.ChainSummary
 	Moves     core.MoveAnalysis
@@ -49,10 +49,17 @@ type batchViews struct {
 	Traffic   core.TrafficAnalysis
 }
 
+// The analyses read only transactions, so batchPrefix also replays
+// the prefix into its own ledger, the independent side for the three
+// figures once read from one: bulk owners' HNT balances, the hotspot
+// count under the resale fraction, and the OUI registry behind the
+// router list and the Console share.
 func batchPrefix(t testing.TB, blocks []*chain.Block, h int64, meta map[string]core.HotspotMeta, pw float64, topN int) batchViews {
 	t.Helper()
 	s := etl.New(etl.Config{})
 	l := chain.NewLedger()
+	var closes, consoleCloses int64
+	closeOwners := make(map[string]int64)
 	for _, b := range blocks {
 		if b.Height > h {
 			break
@@ -64,11 +71,14 @@ func batchPrefix(t testing.TB, blocks []*chain.Block, h int64, meta map[string]c
 			if err := l.ApplyTxn(tx, b.Height); err != nil {
 				t.Fatalf("replay block %d txn %d (%s): %v", b.Height, i, tx.TxnType(), err)
 			}
+			if cl, ok := tx.(*chain.StateChannelClose); ok {
+				closes++
+				closeOwners[cl.Owner]++
+			}
 		}
 	}
-	s.SetLedger(l)
 	d := &core.Dataset{Chain: s.View(), Meta: meta, PoCWeight: pw}
-	return batchViews{
+	v := batchViews{
 		Summary:   d.SummarizeChain(),
 		Moves:     d.AnalyzeMoves(),
 		Growth:    d.AnalyzeGrowth(),
@@ -76,6 +86,54 @@ func batchPrefix(t testing.TB, blocks []*chain.Block, h int64, meta map[string]c
 		Resale:    d.AnalyzeResale(topN),
 		Traffic:   d.AnalyzeTraffic(),
 	}
+
+	for _, p := range v.Ownership.Bulk {
+		if want := l.GetAccount(p.Address).HNTBones; p.HNTBones != want {
+			t.Fatalf("height %d: bulk owner %s holds %d bones, ledger %d", h, p.Address, p.HNTBones, want)
+		}
+	}
+	hotspots := l.HotspotCount()
+	if v.Growth.Total != int64(hotspots) {
+		t.Fatalf("height %d: growth total %d (the live resale denominator), ledger hotspots %d", h, v.Growth.Total, hotspots)
+	}
+	var frac float64
+	if hotspots > 0 {
+		frac = float64(v.Resale.TransferredHotspots) / float64(hotspots)
+	}
+	if v.Resale.TransferredFrac != frac {
+		t.Fatalf("height %d: transferred fraction %v, want %v over %d ledger hotspots", h, v.Resale.TransferredFrac, frac, hotspots)
+	}
+
+	var want core.RouterAnalysis
+	ouiOf := make(map[string]uint32)
+	for _, o := range l.OUIs() {
+		want.OUIs++
+		if o.OUI <= 2 {
+			want.ConsoleOUIs++
+			want.ConsoleOwner = o.Owner
+		} else {
+			want.ThirdPartyOUI = append(want.ThirdPartyOUI, o.OUI)
+		}
+		if cur, ok := ouiOf[o.Owner]; !ok || o.OUI < cur {
+			ouiOf[o.Owner] = o.OUI
+		}
+	}
+	if got := d.AnalyzeRouters(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("height %d: routers %+v, ledger OUIs give %+v", h, got, want)
+	}
+	for owner, n := range closeOwners {
+		if oui := ouiOf[owner]; oui == 1 || oui == 2 {
+			consoleCloses += n
+		}
+	}
+	var share float64
+	if closes > 0 {
+		share = float64(consoleCloses) / float64(closes)
+	}
+	if v.Traffic.ConsoleShare != share {
+		t.Fatalf("height %d: console share %v, ledger OUIs give %v", h, v.Traffic.ConsoleShare, share)
+	}
+	return v
 }
 
 // requireEqual deep-compares the live snapshot with the batch views,
@@ -339,6 +397,33 @@ func TestLiveStudyAdoptsPoCInterval(t *testing.T) {
 	}
 	if err := st.Err(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestLiveStudyReportsRejectedTxn: a transaction the replica rejects —
+// here a transfer of a hotspot that was never added — is counted in
+// ApplyErrs, and Err names its height and type. The folds go on: the
+// next block still lands.
+func TestLiveStudyReportsRejectedTxn(t *testing.T) {
+	st := live.New(live.Options{})
+	st.ApplyBlock(&chain.Block{Height: 1, Txns: []chain.Txn{&chain.AddGateway{Gateway: "hs1", Owner: "w"}}})
+	st.ApplyBlock(&chain.Block{Height: 7, Txns: []chain.Txn{&chain.TransferHotspot{Gateway: "ghost", Seller: "w", Buyer: "v"}}})
+	st.ApplyBlock(&chain.Block{Height: 9, Txns: []chain.Txn{&chain.AddGateway{Gateway: "hs2", Owner: "v"}}})
+	sn := st.Snapshot()
+	if sn.ApplyErrs != 1 {
+		t.Fatalf("ApplyErrs = %d, want 1", sn.ApplyErrs)
+	}
+	if sn.Height != 9 || sn.Ownership.Hotspots != 2 {
+		t.Fatalf("folded to height %d with %d hotspots, want 9 and 2", sn.Height, sn.Ownership.Hotspots)
+	}
+	err := st.Err()
+	if err == nil {
+		t.Fatal("Err is nil after a rejected transfer")
+	}
+	for _, want := range []string{"block 7", "transfer_hotspot", "ghost"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("Err %q does not name %q", err, want)
+		}
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sync"
 
-	"peoplesnet/internal/chain"
 	"peoplesnet/internal/hotspot"
 	"peoplesnet/internal/lorawan"
 	"peoplesnet/internal/statechannel"
@@ -54,12 +53,7 @@ type session struct {
 
 // Config parameterizes a router.
 type Config struct {
-	OUI   uint32
 	Owner string // wallet address
-	// ChannelLifetimeBlocks is the open-to-deadline length. The
-	// Console closes roughly every 120 blocks on 240-block channels
-	// (Fig 8, §5.1).
-	ChannelLifetimeBlocks int64
 	// ChannelStakeDC staked per channel.
 	ChannelStakeDC int64
 	// LatencySampler returns the router's response latency in seconds
@@ -82,7 +76,6 @@ type Router struct {
 	nextAddr  uint32
 	scNonce   int64
 	channel   *statechannel.Channel
-	pending   []chain.Txn
 	delivered map[string]bool // packetID → already delivered to app
 	integ     Integration
 	rng       *stats.RNG
@@ -96,11 +89,8 @@ type Router struct {
 	joinsAccepted int64
 }
 
-// New creates a router and queues its OUI registration transaction.
+// New creates a router.
 func New(cfg Config, rng *stats.RNG) *Router {
-	if cfg.ChannelLifetimeBlocks == 0 {
-		cfg.ChannelLifetimeBlocks = 240
-	}
 	if cfg.ChannelStakeDC == 0 {
 		cfg.ChannelStakeDC = 1_000_000
 	}
@@ -112,7 +102,6 @@ func New(cfg Config, rng *stats.RNG) *Router {
 		delivered: make(map[string]bool),
 		rng:       rng,
 	}
-	r.pending = append(r.pending, &chain.OUIRegistration{OUI: cfg.OUI, Owner: cfg.Owner})
 	return r
 }
 
@@ -165,24 +154,12 @@ func (r *Router) OwnsDevEUI(e lorawan.EUI64) bool {
 	return ok
 }
 
-// PendingTxns drains transactions the router wants on chain.
-func (r *Router) PendingTxns() []chain.Txn {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := r.pending
-	r.pending = nil
-	return out
-}
-
 // ensureChannel opens a state channel if none is active. Caller holds
 // r.mu.
 func (r *Router) ensureChannel() *statechannel.Channel {
 	if r.channel == nil {
 		r.scNonce++
-		ch, openTxn := statechannel.Open(r.cfg.Owner, r.cfg.OUI, r.scNonce,
-			r.cfg.ChannelStakeDC, r.cfg.ChannelLifetimeBlocks)
-		r.channel = ch
-		r.pending = append(r.pending, openTxn)
+		r.channel = statechannel.Open(r.cfg.Owner, r.scNonce, r.cfg.ChannelStakeDC)
 	}
 	return r.channel
 }
@@ -204,7 +181,6 @@ func (r *Router) OfferPacket(o statechannel.Offer) (statechannel.Purchase, bool)
 	if err != nil {
 		if err == statechannel.ErrChannelExhausted {
 			// Roll the channel and retry once.
-			r.pending = append(r.pending, ch.Close())
 			r.channel = nil
 			p, err = r.ensureChannel().Buy(o)
 		}

@@ -2,7 +2,6 @@ package router
 
 import (
 	"bytes"
-	"fmt"
 	"reflect"
 	"testing"
 
@@ -15,9 +14,6 @@ import (
 func newTestRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
 	rng := stats.NewRNG(99)
-	if cfg.OUI == 0 {
-		cfg.OUI = 1
-	}
 	if cfg.Owner == "" {
 		cfg.Owner = "console"
 	}
@@ -205,49 +201,39 @@ func TestUserChargingAndCutoff(t *testing.T) {
 	}
 }
 
+// TestChannelLifecycleTxns: the first purchase opens the owner's first
+// channel, and every purchase the stake cannot cover rolls the router
+// onto the next one, so each channel pays for exactly its stake.
 func TestChannelLifecycleTxns(t *testing.T) {
-	r := newTestRouter(t, Config{ChannelLifetimeBlocks: 240, ChannelStakeDC: 10})
-	// Initial pending: OUI registration.
-	txns := r.PendingTxns()
-	if len(txns) != 1 || txns[0].TxnType() != chain.TxnOUI {
-		t.Fatalf("initial txns = %v", txns)
+	r := newTestRouter(t, Config{ChannelStakeDC: 10})
+	if r.channel != nil {
+		t.Fatal("a channel is open before any purchase")
 	}
-	// First purchase opens a channel.
-	r.RegisterDevice(Device{DevEUI: devEUI, AppEUI: appEUI, AppKey: testAppKey(), UserID: "u"})
-	join(t, r)
-	txns = r.PendingTxns()
-	if len(txns) != 1 || txns[0].TxnType() != chain.TxnStateChannelOpen {
-		t.Fatalf("post-join txns = %v", txns)
-	}
-	// Exhausting the tiny stake rolls the channel: close + open.
 	addr := lorawan.DevAddr(0) // unknown session is fine for Offer-only
-	for i := 0; i < 12; i++ {
-		r.OfferPacket(statechannel.Offer{Hotspot: "h", PacketID: string(rune(i)), Bytes: 24, DevAddr: uint32(addr)})
-	}
-	var kinds []chain.TxnType
-	for _, tx := range r.PendingTxns() {
-		kinds = append(kinds, tx.TxnType())
-	}
-	foundClose, foundOpen := false, false
-	for _, k := range kinds {
-		if k == chain.TxnStateChannelClose {
-			foundClose = true
+	paid := make(map[string]int64)
+	var order []string
+	for i := 0; i < 25; i++ {
+		p, ok := r.OfferPacket(statechannel.Offer{Hotspot: "h", PacketID: string(rune(i)), Bytes: 24, DevAddr: uint32(addr)})
+		if !ok {
+			t.Fatalf("offer %d refused", i)
 		}
-		if k == chain.TxnStateChannelOpen {
-			foundOpen = true
+		if paid[p.ChannelID] == 0 {
+			order = append(order, p.ChannelID)
 		}
+		paid[p.ChannelID] += p.DC
 	}
-	if !foundClose || !foundOpen {
-		t.Fatalf("channel roll txns = %v", kinds)
+	want := []string{chain.SCID("console", 1), chain.SCID("console", 2), chain.SCID("console", 3)}
+	if !reflect.DeepEqual(order, want) {
+		t.Fatalf("channels %v, want %v", order, want)
 	}
-	if len(r.PendingTxns()) != 0 {
-		t.Fatal("pending txns not drained")
+	if paid[want[0]] != 10 || paid[want[1]] != 10 || paid[want[2]] != 5 {
+		t.Fatalf("DC per channel %v, want 10, 10, 5", paid)
 	}
 }
 
 func TestDirectoryRouting(t *testing.T) {
-	r1 := newTestRouter(t, Config{OUI: 1, Owner: "console"})
-	r2 := newTestRouter(t, Config{OUI: 3, Owner: "third-party"})
+	r1 := newTestRouter(t, Config{Owner: "console"})
+	r2 := newTestRouter(t, Config{Owner: "third-party"})
 	r2.RegisterDevice(Device{DevEUI: devEUI, AppEUI: appEUI, AppKey: testAppKey(), UserID: "bob"})
 	d := NewDirectory(r1)
 	d.Add(r2)
@@ -327,64 +313,5 @@ func TestFCntAdvanceRedelivers(t *testing.T) {
 	}
 	if integ.Count() != 3 {
 		t.Fatalf("delivered %d of 3 distinct packets", integ.Count())
-	}
-}
-
-// TestCloseCarriesPurchasedDC: over seeded random offer sequences (many
-// hotspots, repeated packet IDs, and a stake small enough to roll the channel many times), the state-channel
-// closes the router queues, plus the close of the channel still open,
-// carry exactly the DC and packet counts of the purchases OfferPacket
-// returned, per channel and hotspot.
-func TestCloseCarriesPurchasedDC(t *testing.T) {
-	type key struct{ channel, hotspot string }
-	for seed := uint64(1); seed <= 4; seed++ {
-		rng := stats.NewRNG(seed)
-		r := newTestRouter(t, Config{ChannelStakeDC: 50})
-		bought := make(map[key]chain.SCSummary)
-		var purchases int
-		for i := 0; i < 3000; i++ {
-			o := statechannel.Offer{
-				Hotspot:  fmt.Sprintf("hs%02d", rng.Intn(40)),
-				PacketID: fmt.Sprintf("pkt%03d", rng.Intn(400)),
-				Bytes:    rng.Intn(120),
-			}
-			p, ok := r.OfferPacket(o)
-			if !ok {
-				t.Fatalf("seed %d offer %d (%+v) refused", seed, i, o)
-			}
-			if p.Offer != o || p.DC != statechannel.DCForBytes(o.Bytes) {
-				t.Fatalf("purchase %+v for offer %+v", p, o)
-			}
-			purchases++
-			k := key{p.ChannelID, o.Hotspot}
-			s := bought[k]
-			s.Hotspot = o.Hotspot
-			s.Packets++
-			s.DC += p.DC
-			bought[k] = s
-		}
-
-		txns := r.PendingTxns()
-		if r.channel != nil {
-			txns = append(txns, r.channel.Close())
-		}
-		closed := make(map[key]chain.SCSummary)
-		closes := 0
-		for _, tx := range txns {
-			cl, ok := tx.(*chain.StateChannelClose)
-			if !ok {
-				continue
-			}
-			closes++
-			for _, s := range cl.Summaries {
-				closed[key{cl.ID, s.Hotspot}] = s
-			}
-		}
-		if closes < 10 {
-			t.Fatalf("seed %d: %d closes, want the stake to roll the channel", seed, closes)
-		}
-		if !reflect.DeepEqual(closed, bought) {
-			t.Fatalf("seed %d: close summaries differ from the %d purchases", seed, purchases)
-		}
 	}
 }

@@ -2,12 +2,12 @@
 // protocol between hotspots and routers that §5.1 of the paper
 // reverse-engineers: staked channels, per-packet offers and the
 // purchase decision (whether to buy, how many copies, at what DC
-// price), and the close summaries that settle a channel on chain.
+// price). The close summaries that settle channels on chain are
+// simnet's (§5 reads those); a field run's channel never settles.
 package statechannel
 
 import (
 	"errors"
-	"sort"
 	"sync"
 
 	"peoplesnet/internal/chain"
@@ -39,44 +39,22 @@ type Purchase struct {
 	ChannelID string
 }
 
-// Errors.
-var (
-	ErrChannelExhausted = errors.New("statechannel: stake exhausted")
-	ErrChannelClosed    = errors.New("statechannel: channel closed")
-)
+// ErrChannelExhausted refuses a purchase the remaining stake cannot
+// cover.
+var ErrChannelExhausted = errors.New("statechannel: stake exhausted")
 
 // Channel is a router's live view of one open state channel.
 type Channel struct {
 	ID      string
-	OUI     uint32
-	Owner   string
 	StakeDC int64
 
-	mu        sync.Mutex
-	spentDC   int64
-	closed    bool
-	summaries map[string]*chain.SCSummary
+	mu      sync.Mutex
+	spentDC int64
 }
 
-// Open creates the router-side channel state together with its
-// on-chain open transaction.
-func Open(owner string, oui uint32, nonce int64, stakeDC, lifetimeBlocks int64) (*Channel, *chain.StateChannelOpen) {
-	id := chain.SCID(owner, nonce)
-	ch := &Channel{
-		ID:        id,
-		OUI:       oui,
-		Owner:     owner,
-		StakeDC:   stakeDC,
-		summaries: make(map[string]*chain.SCSummary),
-	}
-	txn := &chain.StateChannelOpen{
-		ID:           id,
-		Owner:        owner,
-		OUI:          oui,
-		AmountDC:     stakeDC,
-		ExpireWithin: lifetimeBlocks,
-	}
-	return ch, txn
+// Open creates the router-side state of the owner's nonce-th channel.
+func Open(owner string, nonce int64, stakeDC int64) *Channel {
+	return &Channel{ID: chain.SCID(owner, nonce), StakeDC: stakeDC}
 }
 
 // Buy evaluates an offer against the channel's remaining stake and
@@ -85,34 +63,10 @@ func Open(owner string, oui uint32, nonce int64, stakeDC, lifetimeBlocks int64) 
 func (c *Channel) Buy(o Offer) (Purchase, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.closed {
-		return Purchase{}, ErrChannelClosed
-	}
 	dc := DCForBytes(o.Bytes)
 	if c.spentDC+dc > c.StakeDC {
 		return Purchase{}, ErrChannelExhausted
 	}
 	c.spentDC += dc
-	s := c.summaries[o.Hotspot]
-	if s == nil {
-		s = &chain.SCSummary{Hotspot: o.Hotspot}
-		c.summaries[o.Hotspot] = s
-	}
-	s.Packets++
-	s.DC += dc
 	return Purchase{Offer: o, DC: dc, ChannelID: c.ID}, nil
-}
-
-// Close finalizes the channel and emits the close transaction.
-func (c *Channel) Close() *chain.StateChannelClose {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.closed = true
-	cl := &chain.StateChannelClose{ID: c.ID, Owner: c.Owner}
-	for _, s := range c.summaries {
-		cl.Summaries = append(cl.Summaries, *s)
-	}
-	// Deterministic order for serialization.
-	sort.Slice(cl.Summaries, func(i, j int) bool { return cl.Summaries[i].Hotspot < cl.Summaries[j].Hotspot })
-	return cl
 }

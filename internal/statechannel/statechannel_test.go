@@ -4,6 +4,8 @@ import (
 	"errors"
 	"testing"
 	"testing/quick"
+
+	"peoplesnet/internal/chain"
 )
 
 func TestDCForBytes(t *testing.T) {
@@ -21,9 +23,9 @@ func TestDCForBytes(t *testing.T) {
 }
 
 func TestOpenAndBuy(t *testing.T) {
-	ch, openTxn := Open("router", 1, 1, 100, 240)
-	if openTxn.ID != ch.ID || openTxn.AmountDC != 100 || openTxn.ExpireWithin != 240 {
-		t.Fatalf("open txn = %+v", openTxn)
+	ch := Open("router", 1, 100)
+	if ch.ID != chain.SCID("router", 1) || ch.StakeDC != 100 {
+		t.Fatalf("channel = %+v", ch)
 	}
 	o := Offer{Hotspot: "hs1", PacketID: "pkt-1", Bytes: 20}
 	p, err := ch.Buy(o)
@@ -40,7 +42,7 @@ func TestOpenAndBuy(t *testing.T) {
 
 func TestDuplicateCopyPolicy(t *testing.T) {
 	// Every copy of a packet is bought, one per relaying hotspot (§5.1).
-	ch, _ := Open("router", 1, 2, 100, 240)
+	ch := Open("router", 2, 100)
 	for _, hs := range []string{"hs1", "hs2", "hs3"} {
 		if _, err := ch.Buy(Offer{Hotspot: hs, PacketID: "dup", Bytes: 10}); err != nil {
 			t.Fatalf("copy from %s: %v", hs, err)
@@ -52,7 +54,7 @@ func TestDuplicateCopyPolicy(t *testing.T) {
 }
 
 func TestStakeExhaustion(t *testing.T) {
-	ch, _ := Open("router", 1, 3, 2, 240)
+	ch := Open("router", 3, 2)
 	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "1", Bytes: 10}); err != nil {
 		t.Fatal(err)
 	}
@@ -61,32 +63,6 @@ func TestStakeExhaustion(t *testing.T) {
 	}
 	if _, err := ch.Buy(Offer{Hotspot: "a", PacketID: "3", Bytes: 10}); !errors.Is(err, ErrChannelExhausted) {
 		t.Fatalf("over-stake buy: %v", err)
-	}
-}
-
-func TestCloseSummaries(t *testing.T) {
-	ch, _ := Open("router", 1, 4, 1000, 240)
-	for i := 0; i < 3; i++ {
-		ch.Buy(Offer{Hotspot: "hs-b", PacketID: string(rune('a' + i)), Bytes: 30})
-	}
-	ch.Buy(Offer{Hotspot: "hs-a", PacketID: "z", Bytes: 10})
-	cl := ch.Close()
-	if len(cl.Summaries) != 2 {
-		t.Fatalf("summaries = %+v", cl.Summaries)
-	}
-	// Sorted by hotspot.
-	if cl.Summaries[0].Hotspot != "hs-a" || cl.Summaries[1].Hotspot != "hs-b" {
-		t.Fatalf("order = %+v", cl.Summaries)
-	}
-	if cl.Summaries[1].Packets != 3 || cl.Summaries[1].DC != 6 {
-		t.Fatalf("hs-b summary = %+v", cl.Summaries[1])
-	}
-	if cl.TotalPackets() != 4 || cl.TotalDC() != 7 {
-		t.Fatalf("totals = %d pkts %d DC", cl.TotalPackets(), cl.TotalDC())
-	}
-	// Channel refuses further buys.
-	if _, err := ch.Buy(Offer{Hotspot: "x", PacketID: "q", Bytes: 1}); !errors.Is(err, ErrChannelClosed) {
-		t.Fatalf("post-close buy: %v", err)
 	}
 }
 

@@ -84,7 +84,7 @@ func BenchmarkMicro_StateChannelBuy(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if i%perChannel == 0 {
 			b.StopTimer()
-			ch, _ = statechannel.Open("router", 1, int64(i/perChannel), perChannel, 240)
+			ch = statechannel.Open("router", int64(i/perChannel), perChannel)
 			b.StartTimer()
 		}
 		if _, err := ch.Buy(statechannel.Offer{Hotspot: "hs", PacketID: ids[i%perChannel], Bytes: 24}); err != nil {

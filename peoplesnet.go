@@ -9,7 +9,8 @@
 //     network the paper measured): blockchain, hotspots, owners, p2p
 //     swarm, ISPs, Proof-of-Coverage with cheats, and data traffic.
 //   - The measurement engine: one analyzer per paper section, turning
-//     a ledger + peerbook + IP metadata into every table and figure.
+//     a chain's transactions + peerbook + IP metadata into every table
+//     and figure.
 //   - Empirical field experiments: the §8 PRR, walk, and ACK-validity
 //     tests run against real protocol components in virtual time.
 //
@@ -85,21 +86,17 @@ func Measure(w *World) *Study { return MeasureStore(etl.FromChain(w.Chain), w) }
 
 // MeasureStore runs the suite over an already-open ETL store without
 // re-indexing anything: the analyses resolve through the store's
-// posting lists and the ledger of the chain it ingested. world may be
-// nil — a bare store has no p2p swarm or IP metadata, so the §6
-// analyses come back empty; everything chain-derived is complete.
+// posting lists and aggregates and read no ledger, so a store reopened
+// with no chain attached measures the same. world may be nil — a bare
+// store has no p2p swarm or IP metadata, so the §6 analyses come back
+// empty; everything chain-derived is complete.
 func MeasureStore(s *etl.Store, w *World) *Study {
 	return MeasureStoreWith(s, w, DefaultMeasureOptions())
 }
 
 // MeasureStoreWith is MeasureStore with explicit analysis cutoffs.
-// Opts.PoCWeight supplies the sampling weight a nil world cannot. The
-// store must carry its source chain's ledger, as every store built by
-// etl.FromChain, BulkLoad or FollowChain does.
+// Opts.PoCWeight supplies the sampling weight a nil world cannot.
 func MeasureStoreWith(s *etl.Store, w *World, opts MeasureOptions) *Study {
-	if s.Ledger() == nil {
-		panic("peoplesnet: MeasureStore needs a store with its chain's ledger attached (etl.FromChain, Store.BulkLoad or Store.FollowChain)")
-	}
 	opts = opts.Normalized()
 	var d *core.Dataset
 	if w != nil {

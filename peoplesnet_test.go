@@ -2,6 +2,7 @@ package peoplesnet
 
 import (
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -66,11 +67,11 @@ func TestRunFieldFacade(t *testing.T) {
 	}
 }
 
-// TestMeasureStoreNeedsLedger: a store reaches MeasureStore with its
-// source chain's ledger attached. A durable store reopened on its own
-// has none, and MeasureStore says so at once, naming the calls that
-// attach one, rather than dereferencing nil inside an analysis.
-func TestMeasureStoreNeedsLedger(t *testing.T) {
+// TestMeasureReopenedStore: a durable store reopened on its own, with
+// no chain attached, measures to the same chain analyses as Measure
+// over the world that built it, because every analysis reads only the
+// store's transactions.
+func TestMeasureReopenedStore(t *testing.T) {
 	cfg := SmallWorld(8)
 	cfg.Days = 200
 	cfg.TargetHotspots = 150
@@ -96,14 +97,26 @@ func TestMeasureStoreNeedsLedger(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	defer func() {
-		msg, _ := recover().(string)
-		for _, want := range []string{"FromChain", "BulkLoad", "FollowChain"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("panic %q does not name %s", msg, want)
-			}
+	got, want := MeasureStore(s2, w), Measure(w)
+	for _, c := range []struct {
+		name      string
+		got, want any
+	}{
+		{"Summary", got.Summary, want.Summary},
+		{"Moves", got.Moves, want.Moves},
+		{"Growth", got.Growth, want.Growth},
+		{"Ownership", got.Ownership, want.Ownership},
+		{"Resale", got.Resale, want.Resale},
+		{"Traffic", got.Traffic, want.Traffic},
+		{"Routers", got.Routers, want.Routers},
+		{"Audit", got.Audit, want.Audit},
+	} {
+		if !reflect.DeepEqual(c.got, c.want) {
+			t.Errorf("%s of the reopened store diverges from Measure\n got: %+v\nwant: %+v", c.name, c.got, c.want)
 		}
-	}()
-	MeasureStore(s2, nil)
-	t.Error("MeasureStore measured a store with no ledger")
+	}
+	if got.Ownership.Hotspots == 0 || got.Routers.OUIs == 0 || len(got.Ownership.Bulk) == 0 {
+		t.Fatalf("world too small to compare: %d hotspots, %d OUIs, %d bulk owners",
+			got.Ownership.Hotspots, got.Routers.OUIs, len(got.Ownership.Bulk))
+	}
 }
