@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest deadcode
+.PHONY: build test race bench bench-etl bench-json bench-trend bench-fed bench-mttr bench-live store-bench fmt vet lint lint-fix-scan check recovery fuzz-smoke fed-smoke chaos-smoke live-smoke replay-sweep bench-selftest deadcode
 
 build:
 	$(GO) build ./...
@@ -125,6 +125,12 @@ bench-mttr:
 live-smoke:
 	$(GO) test -race -run 'TestLiveStudy' ./internal/live/
 
+# Replay sweep: generate SmallWorld seeds 1–30 and round-trip each
+# chain through WriteTo/ReadChain (~30 s on 2 CPUs). The test file
+# carries the replaysweep build tag, so plain `go test ./...` skips it.
+replay-sweep:
+	$(GO) test -tags replaysweep -run 'TestReplaySweep' -count=1 .
+
 # perfbench's own tests: its reference checks and output digests on a
 # small world. perfbench is a module of its own (perfbench/go.mod), so
 # ./... at the root never reaches it.
@@ -138,4 +144,4 @@ bench-selftest:
 deadcode:
 	GO=$(GO) bash scripts/deadcode.sh
 
-check: fmt vet lint build race recovery fuzz-smoke fed-smoke chaos-smoke live-smoke bench-selftest deadcode
+check: fmt vet lint build race recovery fuzz-smoke fed-smoke chaos-smoke live-smoke replay-sweep bench-selftest deadcode

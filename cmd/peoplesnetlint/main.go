@@ -23,9 +23,11 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"go/token"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -35,18 +37,32 @@ import (
 )
 
 func main() {
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
+
+// run parses args, runs the selected analyzers and prints the report
+// to stdout. It returns the exit code: 0 clean, 1 findings, 2 a usage
+// or load error (printed to stderr).
+func run(args []string, stdout, stderr io.Writer) int {
 	log := func(format string, args ...any) {
-		fmt.Fprintf(os.Stderr, "peoplesnetlint: "+format+"\n", args...)
+		fmt.Fprintf(stderr, "peoplesnetlint: "+format+"\n", args...)
 	}
 
+	fs := flag.NewFlagSet("peoplesnetlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		list         = flag.Bool("list", false, "list analyzers and exit")
-		suppressions = flag.Bool("suppressions", false, "print //lint:allow suppressions instead of findings")
-		selection    = flag.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
-		jsonOut      = flag.Bool("json", false, "emit findings and suppressions as a JSON report")
-		workers      = flag.Int("workers", 0, "bound analysis parallelism (default GOMAXPROCS)")
+		list         = fs.Bool("list", false, "list analyzers and exit")
+		suppressions = fs.Bool("suppressions", false, "print //lint:allow suppressions instead of findings")
+		selection    = fs.String("analyzers", "", "comma-separated subset of analyzers to run (default: all)")
+		jsonOut      = fs.Bool("json", false, "emit findings and suppressions as a JSON report")
+		workers      = fs.Int("workers", 0, "bound analysis parallelism (default GOMAXPROCS)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
+	}
 
 	analyzers := analysis.All()
 	if *selection != "" {
@@ -54,31 +70,31 @@ func main() {
 		analyzers, err = analysis.ByName(strings.Split(*selection, ","))
 		if err != nil {
 			log("%v", err)
-			os.Exit(2)
+			return 2
 		}
 	}
 
 	if *list {
 		for _, a := range analyzers {
-			fmt.Printf("%s:\n", a.Name)
+			fmt.Fprintf(stdout, "%s:\n", a.Name)
 			for _, line := range strings.Split(a.Doc, "\n") {
-				fmt.Printf("    %s\n", line)
+				fmt.Fprintf(stdout, "    %s\n", line)
 			}
 		}
-		return
+		return 0
 	}
 
-	args := flag.Args()
-	if len(args) == 0 {
-		args = []string{"./..."}
+	patterns := fs.Args()
+	if len(patterns) == 0 {
+		patterns = []string{"./..."}
 	}
-	os.Exit(runStandalone(args, analyzers, *suppressions, *jsonOut, *workers, log))
+	return runStandalone(patterns, analyzers, *suppressions, *jsonOut, *workers, stdout, log)
 }
 
 // runStandalone analyzes the dependency closure of the requested
 // packages through the parallel, fact-propagating driver, then prints
 // findings for the packages that were actually requested.
-func runStandalone(patterns []string, analyzers []*analysis.Analyzer, printSuppressions, jsonOut bool, workers int, log func(string, ...any)) int {
+func runStandalone(patterns []string, analyzers []*analysis.Analyzer, printSuppressions, jsonOut bool, workers int, stdout io.Writer, log func(string, ...any)) int {
 	cwd, err := os.Getwd()
 	if err != nil {
 		log("%v", err)
@@ -121,7 +137,7 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, printSuppr
 
 	if jsonOut {
 		rep := analysis.BuildReport(loader.Fset, analyzers, results, cwd)
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(rep); err != nil {
 			log("%v", err)
@@ -143,13 +159,13 @@ func runStandalone(patterns []string, analyzers []*analysis.Analyzer, printSuppr
 		res := results[path]
 		if printSuppressions {
 			for _, s := range res.Suppressions {
-				fmt.Printf("%s: %s: suppressed: %s (reason: %s)\n",
+				fmt.Fprintf(stdout, "%s: %s: suppressed: %s (reason: %s)\n",
 					rel(cwd, loader.Fset.Position(s.Pos)), s.Analyzer, s.Message, s.Reason)
 			}
 			continue
 		}
 		for _, d := range res.Diagnostics {
-			fmt.Printf("%s: %s: %s\n", rel(cwd, loader.Fset.Position(d.Pos)), d.Analyzer, d.Message)
+			fmt.Fprintf(stdout, "%s: %s: %s\n", rel(cwd, loader.Fset.Position(d.Pos)), d.Analyzer, d.Message)
 			if exit == 0 {
 				exit = 1
 			}

@@ -154,6 +154,36 @@ func TestChainSerializationRoundTrip(t *testing.T) {
 	}
 }
 
+// TestHourlyChallengesReplay: one challenger challenging in two hourly
+// blocks 60 heights apart — the schedule the simulator generates —
+// builds on a fresh chain and replays from its chain file.
+func TestHourlyChallengesReplay(t *testing.T) {
+	c := NewChain(DefaultGenesis)
+	for _, b := range []struct {
+		h    int64
+		txns []Txn
+	}{
+		{2, []Txn{&AddGateway{Gateway: "hs1", Owner: "w"}}},
+		{62, []Txn{&PoCRequest{Challenger: "hs1", SecretHash: "a"}}},
+		{122, []Txn{&PoCRequest{Challenger: "hs1", SecretHash: "b"}}},
+	} {
+		if _, err := c.AppendBlock(b.h, b.txns); err != nil {
+			t.Fatalf("append block %d: %v", b.h, err)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := c.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := ReadChain(&buf)
+	if err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if c2.Height() != 122 || c2.TxnCount() != 3 {
+		t.Fatalf("replayed to height %d with %d txns, want 122 and 3", c2.Height(), c2.TxnCount())
+	}
+}
+
 func TestReadChainErrors(t *testing.T) {
 	if _, err := ReadChain(bytes.NewReader(nil)); err == nil {
 		t.Fatal("empty input accepted")

@@ -78,17 +78,15 @@ type Ledger struct {
 	validators map[string]string // validator address → staking owner
 	consensus  []string          // current consensus group members
 
-	dcBurned        int64
-	hntMintedBones  int64
-	hntBurnedBones  int64
-	stakedBones     int64
-	oracleUSDPerHNT float64
+	dcBurned       int64
+	hntMintedBones int64
+	hntBurnedBones int64
+	stakedBones    int64
 
 	pocIntervalBlocks int64
 }
 
-// NewLedger returns an empty ledger with the default oracle price and
-// PoC challenge interval.
+// NewLedger returns an empty ledger.
 func NewLedger() *Ledger {
 	return &Ledger{
 		hotspots:          make(map[string]*Hotspot),
@@ -97,35 +95,21 @@ func NewLedger() *Ledger {
 		channels:          make(map[string]*channelState),
 		validators:        make(map[string]string),
 		nextOUI:           1,
-		oracleUSDPerHNT:   15.0, // mid of the paper's May 2021 $8.32–19.70 range
 		pocIntervalBlocks: PoCChallengeIntervalBlocks,
 	}
 }
 
-// SetOraclePrice sets the USD/HNT price used by token burns.
-func (l *Ledger) SetOraclePrice(usdPerHNT float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if usdPerHNT > 0 {
-		l.oracleUSDPerHNT = usdPerHNT
-	}
-}
-
-// SetPoCInterval overrides the challenge interval (useful for
-// compressed-timeline simulations).
+// SetPoCInterval overrides the challenge interval. No program in this
+// module calls it: every ledger validates with
+// PoCChallengeIntervalBlocks. It stays only because perfbench's follow
+// workload (a module of its own) still sets it, to the value that is
+// now the default; it goes with perfbench's next change.
 func (l *Ledger) SetPoCInterval(blocks int64) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if blocks > 0 {
 		l.pocIntervalBlocks = blocks
 	}
-}
-
-// PoCInterval returns the challenge interval in blocks.
-func (l *Ledger) PoCInterval() int64 {
-	l.mu.RLock()
-	defer l.mu.RUnlock()
-	return l.pocIntervalBlocks
 }
 
 // account returns (creating if needed) the account record. Caller

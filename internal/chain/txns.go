@@ -427,7 +427,7 @@ func (t *TokenBurn) validate(l *Ledger, height int64) error {
 func (t *TokenBurn) apply(l *Ledger, height int64) {
 	l.account(t.Payer).HNTBones -= t.AmountBones
 	hnt := float64(t.AmountBones) / BonesPerHNT
-	dc := int64(math.Round(hnt * l.oracleUSDPerHNT / USDPerDC))
+	dc := int64(math.Round(hnt * OracleUSDPerHNT / USDPerDC))
 	l.account(t.Destination).DC += dc
 	l.hntBurnedBones += t.AmountBones
 }

@@ -90,6 +90,10 @@ const (
 	BonesPerHNT = 100_000_000 // 1 HNT = 1e8 bones
 	// USDPerDC is the fixed Data Credit price: $0.00001 (§2.4).
 	USDPerDC = 0.00001
+	// OracleUSDPerHNT is the HNT price a token burn converts at: the
+	// mid of the paper's May 2021 $8.32–19.70 range. The simulator's
+	// rewards follow their own price series (econ), not this one.
+	OracleUSDPerHNT = 15.0
 )
 
 // Fee schedule (in DC), following the real network's implied-burn
@@ -122,8 +126,13 @@ const (
 // PoC protocol constants.
 const (
 	// PoCChallengeIntervalBlocks is how often a hotspot may issue a
-	// challenge (§7.1: "every 480 blocks").
-	PoCChallengeIntervalBlocks = 480
+	// challenge: at most once per block. The paper's network allows one
+	// challenge every 480 blocks (§7.1), but this chain is sampled — each
+	// PoC transaction stands for PoCWeight (600) real ones — and the
+	// simulator draws one challenge per challenger per region per day
+	// into hourly blocks 60 heights apart, so a 480-block rule would
+	// reject challenges the sampled schedule legitimately makes.
+	PoCChallengeIntervalBlocks = 1
 	// WitnessMinDistanceM is HIP15's witness distance floor (§8.2.1).
 	WitnessMinDistanceM = 300
 )

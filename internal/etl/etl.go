@@ -72,7 +72,6 @@ type Store struct {
 
 	mu     sync.RWMutex
 	grown  *sync.Cond // broadcast after every Append; tails wait on it
-	ledger *chain.Ledger
 	sealed []*segment
 	// pending holds blocks of the yet-unsealed segment; queries scan
 	// it linearly (it is at most SegmentBlocks long).
@@ -114,19 +113,11 @@ func New(cfg Config) *Store {
 }
 
 // FromChain bulk-loads a finished chain into a fresh store with the
-// default configuration, sharing the chain's ledger.
+// default configuration.
 func FromChain(c *chain.Chain) *Store {
 	s := New(Config{})
 	s.BulkLoad(c)
 	return s
-}
-
-// SetLedger attaches a source chain's ledger for Ledger to return.
-// BulkLoad and FollowChain call it with the chain they ingest.
-func (s *Store) SetLedger(l *chain.Ledger) {
-	s.mu.Lock()
-	s.ledger = l
-	s.mu.Unlock()
 }
 
 // ensureAgg folds every outstanding sealed-segment contribution into

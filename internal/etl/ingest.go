@@ -70,12 +70,11 @@ func (s *Store) sealLocked() {
 	}
 }
 
-// BulkLoad ingests every block of c beyond the store's tip and adopts
-// the chain's ledger. The final partial segment is sealed too, so the
-// whole loaded history is indexed. Calling it again after the chain
-// has grown ingests only the new suffix.
+// BulkLoad ingests every block of c beyond the store's tip. The final
+// partial segment is sealed too, so the whole loaded history is
+// indexed. Calling it again after the chain has grown ingests only the
+// new suffix.
 func (s *Store) BulkLoad(c *chain.Chain) error {
-	s.SetLedger(c.Ledger())
 	for _, b := range c.BlocksFrom(s.Height()) {
 		if err := s.Append(b); err != nil {
 			return err
@@ -125,10 +124,8 @@ const (
 
 // FollowChain attaches a follower to a live chain, tailing it from the
 // store's tip. The returned Follower ingests concurrently with the
-// chain's producer until Close is called. The store adopts the chain's
-// ledger.
+// chain's producer until Close is called.
 func (s *Store) FollowChain(c *chain.Chain) *Follower {
-	s.SetLedger(c.Ledger())
 	return s.FollowFeed(c.Follow(s.Height()))
 }
 

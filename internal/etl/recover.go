@@ -33,8 +33,6 @@ import (
 // Open reads only segments, their sidecars and the WAL; any other file
 // in dir, such as a ledger checkpoint an older build wrote, is left
 // alone.
-// The store has no ledger until BulkLoad or FollowChain attaches its
-// source chain's.
 func Open(dir string, cfg Config) (*Store, error) {
 	fsys := cfg.FS
 	if fsys == nil {
@@ -248,7 +246,6 @@ func (s *Store) Repair(c *chain.Chain) error {
 		}
 	}
 
-	s.ledger = c.Ledger()
 	var firstErr error
 	var remaining []Gap
 	for _, gap := range gaps {

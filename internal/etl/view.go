@@ -40,15 +40,6 @@ func (s *Store) TxnMix() map[chain.TxnType]int64 {
 	return mix
 }
 
-// Ledger returns the attached source-chain ledger (nil until
-// SetLedger, BulkLoad, or FollowChain). No analysis reads it; a live
-// study's replica ledger validates with its PoC challenge interval.
-func (s *Store) Ledger() *chain.Ledger {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.ledger
-}
-
 // View adapts the store to internal/core's ChainView, so a
 // core.Dataset can run every existing analysis against the indexes
 // instead of a raw chain.

@@ -367,30 +367,26 @@ func TestLiveStudyCloseUnblocks(t *testing.T) {
 	}
 }
 
-// TestLiveStudyAdoptsPoCInterval: a chain built under a compressed
-// PoC challenge interval (as the simulator builds its chains) replays
-// into the study's ledger replica without rejections — the replica
-// validates with the attached store ledger's interval, not the
-// 480-block default.
-func TestLiveStudyAdoptsPoCInterval(t *testing.T) {
-	c := chain.NewChain(chain.DefaultGenesis)
-	c.Ledger().SetPoCInterval(1)
-	for _, b := range []struct {
-		h    int64
-		txns []chain.Txn
-	}{
-		{1, []chain.Txn{&chain.AddGateway{Gateway: "hs1", Owner: "w"}}},
-		{10, []chain.Txn{&chain.PoCRequest{Challenger: "hs1", SecretHash: "a"}}},
-		{20, []chain.Txn{&chain.PoCRequest{Challenger: "hs1", SecretHash: "b"}}},
+// TestLiveStudyHourlyChallenges: a store with no source chain, fed
+// blocks in which one challenger challenges in hourly blocks 60 heights
+// apart (as the simulator generates them), replays into the study's
+// ledger replica without rejections: every ledger validates with the
+// chain package's one PoC challenge interval.
+func TestLiveStudyHourlyChallenges(t *testing.T) {
+	s := etl.New(etl.Config{})
+	for _, b := range []*chain.Block{
+		{Height: 2, Txns: []chain.Txn{&chain.AddGateway{Gateway: "hs1", Owner: "w"}}},
+		{Height: 62, Txns: []chain.Txn{&chain.PoCRequest{Challenger: "hs1", SecretHash: "a"}}},
+		{Height: 122, Txns: []chain.Txn{&chain.PoCRequest{Challenger: "hs1", SecretHash: "b"}}},
 	} {
-		if _, err := c.AppendBlock(b.h, b.txns); err != nil {
-			t.Fatalf("append block %d: %v", b.h, err)
+		if err := s.Append(b); err != nil {
+			t.Fatalf("append block %d: %v", b.Height, err)
 		}
 	}
-	st := live.Attach(etl.FromChain(c), live.Options{})
+	st := live.Attach(s, live.Options{})
 	defer st.Close()
-	if !waitHeight(st, c.Height(), 10*time.Second) {
-		t.Fatalf("study stuck at height %d, chain at %d", st.Height(), c.Height())
+	if !waitHeight(st, s.Height(), 10*time.Second) {
+		t.Fatalf("study stuck at height %d, store at %d", st.Height(), s.Height())
 	}
 	if sn := st.Snapshot(); sn.ApplyErrs != 0 {
 		t.Fatalf("replica rejected %d txns: %v", sn.ApplyErrs, st.Err())

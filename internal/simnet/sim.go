@@ -119,7 +119,6 @@ func Generate(cfg Config) (*Result, error) {
 	master := stats.NewRNG(cfg.Seed)
 	w := newWorld(cfg)
 	c := chain.NewChain(cfg.Start)
-	c.Ledger().SetPoCInterval(1) // sampled challenges are sparse already
 
 	s := &simulator{
 		cfg: cfg, w: w, c: c,

@@ -15,7 +15,6 @@ func newSim(t *testing.T, cfg Config) *simulator {
 	t.Helper()
 	w := newWorld(cfg)
 	c := chain.NewChain(cfg.Start)
-	c.Ledger().SetPoCInterval(1)
 	return &simulator{
 		cfg: cfg, w: w, c: c,
 		res: &Result{Cfg: cfg, Chain: c, World: w},

@@ -138,7 +138,6 @@ func (s *simulator) stepRewards(day int) {
 	// The HIP10 cap converts DC to HNT at the oracle price, which
 	// follows the speculative run-up (§2.4).
 	pol.USDPerHNT = s.prices.At(s.cfg.Start.AddDate(0, 0, day))
-	s.c.Ledger().SetOraclePrice(pol.USDPerHNT)
 	act := econ.EpochActivity{
 		ChallengesByChallenger: s.dayChallenger,
 		ChallengeesBeaconed:    s.dayBeacons,
